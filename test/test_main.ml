@@ -41,4 +41,5 @@ let () =
       ("gcp", Test_gcp.suite);
       ("experiments", Test_experiments.suite);
       ("integration", Test_integration.suite);
+      ("cli", Test_cli.suite);
     ]
