@@ -271,15 +271,6 @@ let steps_arg =
 (* Scheduler/class/randomization names are validated at parse time
    (Arg.enum), so a typo yields cmdliner's one-line usage error and a
    non-zero exit instead of an exception from deep inside a run. *)
-let scheduler_names =
-  [
-    ("central-random", `Central_random);
-    ("distributed-random", `Distributed_random);
-    ("synchronous", `Synchronous);
-    ("central-first", `Central_first);
-    ("round-robin", `Round_robin);
-  ]
-
 let scheduler_arg =
   let doc =
     "Scheduler: central-random, distributed-random, synchronous, central-first, \
@@ -287,18 +278,8 @@ let scheduler_arg =
   in
   Arg.(
     value
-    & opt (enum scheduler_names) `Distributed_random
+    & opt (enum Stabcore.Scheduler.kinds) Stabcore.Scheduler.Distributed_random
     & info [ "s"; "scheduler" ] ~docv:"SCHED" ~doc)
-
-let scheduler_label kind =
-  fst (List.find (fun (_, k) -> k = kind) scheduler_names)
-
-let instantiate_scheduler : type a. _ -> a Stabcore.Scheduler.t = function
-  | `Central_random -> Stabcore.Scheduler.central_random ()
-  | `Distributed_random -> Stabcore.Scheduler.distributed_random ()
-  | `Synchronous -> Stabcore.Scheduler.synchronous ()
-  | `Central_first -> Stabcore.Scheduler.central_first ()
-  | `Round_robin -> Stabcore.Scheduler.round_robin ()
 
 let sched_class_arg =
   let doc = "Scheduler class for exhaustive checking: central, distributed, synchronous." in
@@ -313,14 +294,6 @@ let sched_class_arg =
            ])
         Stabcore.Statespace.Distributed
     & info [ "class" ] ~docv:"CLASS" ~doc)
-
-(* The simulation face of a scheduler class: its uniform randomized
-   daemon (Definition 6). *)
-let class_scheduler : type a. Stabcore.Statespace.sched_class -> a Stabcore.Scheduler.t =
-  function
-  | Stabcore.Statespace.Central -> Stabcore.Scheduler.central_random ()
-  | Stabcore.Statespace.Distributed -> Stabcore.Scheduler.distributed_random ()
-  | Stabcore.Statespace.Synchronous -> Stabcore.Scheduler.synchronous ()
 
 let quick_arg =
   let doc = "Keep experiment instance sizes small (fast); disable for the full sweep." in
@@ -381,45 +354,125 @@ let file_arg =
   in
   Arg.(value & opt (some string) None & info [ "f"; "file" ] ~docv:"FILE" ~doc)
 
-(* Resolve the protocol either from a GCP file or from the registry. *)
-let resolve ~protocol ~topology ~transformed ~file =
-  match file with
-  | None -> Stabexp.Registry.find ~name:protocol ~topology ~transformed ()
-  | Some path ->
-    let program =
-      match Stabgcp.Gcp.load path with Ok p -> p | Error m -> failwith m
+module Query = Stabexp.Query
+module Eval = Stabexp.Eval
+
+(* The protocol instance every analysis subcommand starts from: a
+   registry name or a GCP file, on a topology, optionally
+   transformed. Subcommands fill in the rest of the query. *)
+let instance_term =
+  let make protocol topology transformed file =
+    {
+      Query.default with
+      source = (match file with None -> Query.Registry protocol | Some path -> Query.File path);
+      topology;
+      transformed;
+    }
+  in
+  Term.(const make $ protocol_arg $ topology_arg $ transformed_arg $ file_arg)
+
+(* Run one rung of the evaluator; a rung that cannot answer is the
+   subcommand's error. *)
+let answer q rung =
+  match Eval.run q rung with Ok r -> r | Error reason -> failwith reason
+
+let print_check (q : Query.t) (r : Eval.Result.t) configs orbits verdict =
+  Format.printf "%s under the %a class (%d configurations)@.%s@." r.label
+    Stabcore.Statespace.pp_sched_class q.sched configs r.describe;
+  if q.quotient then begin
+    match orbits with
+    | Some (order, reps) ->
+      Format.printf "symmetry quotient: group order %d, %d orbit representatives@."
+        order reps
+    | None ->
+      Format.printf "symmetry quotient: validated group is trivial, full space retained@."
+  end;
+  Format.printf "@.%a@.@." Stabcore.Checker.pp_verdict verdict;
+  Format.printf "verdicts:@.  weak-stabilizing: %b@.  self-stabilizing (unfair): %b@.  \
+                 self-stabilizing (weakly fair): %b@.  self-stabilizing (strongly fair): %b@."
+    (Stabcore.Checker.weak_stabilizing verdict)
+    (Stabcore.Checker.self_stabilizing verdict)
+    (Stabcore.Checker.self_stabilizing_weakly_fair verdict)
+    (Stabcore.Checker.self_stabilizing_strongly_fair verdict)
+
+(* The markov subcommand always asks for the partial iterate of a
+   sparse solve that ran out of sweeps; whether to accept it
+   (--allow-nonconverged) is decided here. *)
+let print_markov ~allow_nonconverged (q : Query.t) (r : Eval.Result.t) states configs
+    lumped convergence =
+  let randomization = (Stabcore.Scheduler.of_class q.sched).Stabcore.Scheduler.name in
+  if lumped then
+    Format.printf "orbit-lumped chain: %d states for %d configurations@." states configs;
+  match convergence with
+  | Eval.Result.Prob1 { stats; solve } ->
+    let nonconverged =
+      match solve with
+      | Some (Stabcore.Markov.Converged s) ->
+        Format.printf "sparse solve: %d blocks, %d sweeps, final relative residual %g@."
+          s.Stabcore.Markov.blocks s.Stabcore.Markov.sweeps s.Stabcore.Markov.residual;
+        false
+      | Some (Stabcore.Markov.Max_sweeps s) ->
+        Obs.warnf
+          "sparse solver did NOT converge: %d sweeps across %d blocks exhausted (final \
+           relative residual %g); the times below are a partial iterate, not the exact \
+           expectation"
+          s.Stabcore.Markov.sweeps s.Stabcore.Markov.blocks s.Stabcore.Markov.residual;
+        if not allow_nonconverged then
+          failwith
+            "sparse solver did not converge; retry with a larger --max-sweeps, --solver \
+             exact, or pass --allow-nonconverged to accept the partial iterate";
+        true
+      | None -> false
     in
-    let graph = Stabexp.Registry.topology_of_string topology in
-    let base_protocol, spec =
-      match Stabgcp.Gcp.instantiate program graph with
-      | Ok pair -> pair
-      | Error m -> failwith m
-    in
-    let label =
-      Printf.sprintf "%s(%s)" (Stabgcp.Gcp.name program) topology
-    in
-    let describe = Printf.sprintf "loaded from %s" path in
-    if transformed then
-      Stabexp.Registry.Entry
-        {
-          label = "trans(" ^ label ^ ")";
-          protocol = Stabcore.Transformer.randomize base_protocol;
-          spec = Stabcore.Transformer.lift_spec spec;
-          relabel = None;
-          describe;
-        }
-    else
-      Stabexp.Registry.Entry
-        { label; protocol = base_protocol; spec; relabel = None; describe }
+    Format.printf
+      "%s: converges with probability 1 under %s@.expected stabilization time%s: mean \
+       %.4f steps, worst initial configuration %.4f steps@."
+      r.label randomization
+      (if nonconverged then " (NONCONVERGED partial iterate)" else "")
+      stats.Stabcore.Markov.mean stats.Stabcore.Markov.max
+  | Eval.Result.Stuck { code; config } ->
+    Format.printf
+      "%s: does NOT converge with probability 1 under %s@.counterexample configuration \
+       (code %d): %s@."
+      r.label randomization code config
+
+let print_reach (q : Query.t) (r : Eval.Result.t) inits possible certain =
+  let show what (o : Eval.Result.onthefly) =
+    Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
+      (match (o.verdict, o.counterexample) with
+      | Stabcore.Onthefly.Converges, _ -> "HOLDS on the reachable sub-system"
+      | Stabcore.Onthefly.Counterexample _, Some config -> "FAILS; counterexample " ^ config
+      | Stabcore.Onthefly.Counterexample code, None ->
+        Printf.sprintf "FAILS; counterexample code %d" code
+      | Stabcore.Onthefly.Unknown, _ -> "UNKNOWN (state budget exhausted)")
+      o.stats.Stabcore.Onthefly.explored o.stats.Stabcore.Onthefly.edges
+      (if o.stats.Stabcore.Onthefly.complete then "" else "; incomplete")
+  in
+  Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
+    r.label Stabcore.Statespace.pp_sched_class q.sched inits q.seed;
+  show "possible convergence (weak)" possible;
+  show "certain convergence (self)" certain
+
+(* One printer per answer shape; each subcommand runs the rung that
+   yields its own shape. *)
+let print_answer ?(allow_nonconverged = false) q (r : Eval.Result.t) =
+  match r.body with
+  | Eval.Result.Check { configs; orbits; verdict } -> print_check q r configs orbits verdict
+  | Eval.Result.Markov { states; configs; lumped; convergence } ->
+    print_markov ~allow_nonconverged q r states configs lumped convergence
+  | Eval.Result.Reach { inits; possible; certain } -> print_reach q r inits possible certain
+  | Eval.Result.Montecarlo { scheduler; runs; estimate } ->
+    Format.printf "%s under %s: %d runs from uniform initial configurations@.%a@." r.label
+      scheduler runs Stabcore.Montecarlo.pp_result estimate
 
 (* --- trace --- *)
 
 let trace_cmd =
-  let run () protocol topology transformed file seed steps scheduler crash wake_p =
+  let run () q seed steps scheduler crash wake_p =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
+        let (Stabexp.Registry.Entry e) = Eval.resolve q in
         let rng = Stabrng.Rng.create seed in
-        let sched = instantiate_scheduler scheduler in
+        let sched = Stabcore.Scheduler.make scheduler in
         let sched =
           if crash = [] then sched
           else Stabcore.Scheduler.crash ~wake_p ~failed:crash sched
@@ -449,53 +502,20 @@ let trace_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ seed_arg $ steps_arg $ scheduler_arg $ crash_arg $ wake_p_arg))
+        (const run $ obs_term $ instance_term $ seed_arg $ steps_arg $ scheduler_arg
+       $ crash_arg $ wake_p_arg))
   in
   Cmd.v (Cmd.info "trace" ~doc:"Simulate one execution and print its trace.") term
 
 (* --- check --- *)
 
 let check_cmd =
-  let run () protocol topology transformed file cls crash quotient =
+  let run () q sched crash quotient =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        (* --crash asks the Dolev-Herman question: does stabilization
-           survive when these processes permanently stop executing?
-           Decided exhaustively on the induced sub-protocol. *)
-        let protocol, label =
-          if crash = [] then (e.protocol, e.label)
-          else
-            let crashed = Stabcore.Faults.crash_protocol e.protocol ~failed:crash in
-            ( crashed,
-              Printf.sprintf "%s, crash-faulted [%s]" e.label
-                (String.concat "," (List.map string_of_int crash)) )
-        in
-        let full = Stabcore.Statespace.build protocol in
-        let space =
-          if quotient then Stabcore.Statespace.quotient ?relabel:e.relabel full else full
-        in
-        let v = Stabcore.Checker.analyze space cls e.spec in
-        Format.printf "%s under the %a class (%d configurations)@.%s@."
-          label Stabcore.Statespace.pp_sched_class cls
-          (Stabcore.Statespace.count full)
-          e.describe;
-        if quotient then
-          if Stabcore.Statespace.is_quotient space then
-            Format.printf
-              "symmetry quotient: group order %d, %d orbit representatives@."
-              (Stabcore.Statespace.symmetry_order space)
-              (Stabcore.Statespace.count space)
-          else
-            Format.printf
-              "symmetry quotient: validated group is trivial, full space retained@.";
-        Format.printf "@.%a@.@." Stabcore.Checker.pp_verdict v;
-        Format.printf "verdicts:@.  weak-stabilizing: %b@.  self-stabilizing (unfair): %b@.  \
-                       self-stabilizing (weakly fair): %b@.  self-stabilizing (strongly fair): %b@."
-          (Stabcore.Checker.weak_stabilizing v)
-          (Stabcore.Checker.self_stabilizing v)
-          (Stabcore.Checker.self_stabilizing_weakly_fair v)
-          (Stabcore.Checker.self_stabilizing_strongly_fair v))
+        (* --crash asks the Dolev-Herman question on the induced
+           sub-protocol, decided exhaustively. *)
+        let q = { q with Query.sched; crash; quotient; analysis = Query.Check } in
+        print_answer q (answer q Eval.Exact))
   in
   let quotient_arg =
     let doc =
@@ -509,8 +529,7 @@ let check_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ sched_class_arg $ crash_arg $ quotient_arg))
+        (const run $ obs_term $ instance_term $ sched_class_arg $ crash_arg $ quotient_arg))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Exhaustively decide weak/self stabilization (small instances).")
@@ -519,85 +538,29 @@ let check_cmd =
 (* --- markov --- *)
 
 let markov_cmd =
-  let run () protocol topology transformed file r quotient method_ allow_nonconverged =
+  let run () q sched quotient solver allow_nonconverged =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let randomization =
-          match r with
-          | Stabcore.Markov.Central_uniform -> "central-random"
-          | Stabcore.Markov.Distributed_uniform -> "distributed-random"
-          | Stabcore.Markov.Sync -> "synchronous"
+        let q =
+          {
+            q with
+            Query.sched;
+            quotient;
+            analysis = Query.Markov { solver; allow_nonconverged = true };
+          }
         in
-        let space = Stabcore.Statespace.build e.protocol in
-        let space =
-          if quotient then Stabcore.Statespace.quotient ?relabel:e.relabel space
-          else space
-        in
-        let legitimate = Stabcore.Statespace.legitimate_set space e.spec in
-        let chain = Stabcore.Markov.of_space space r in
-        if Stabcore.Statespace.is_quotient space then
-          Format.printf "orbit-lumped chain: %d states for %d configurations@."
-            (Stabcore.Statespace.count space)
-            (Stabcore.Statespace.count (Stabcore.Statespace.base space));
-        (match Stabcore.Markov.converges_with_prob_one chain ~legitimate with
-        | Ok () ->
-          let weights = Stabcore.Statespace.orbit_sizes space in
-          (* The typed entry point never raises on a sweep-budget
-             exhaustion: the outcome says whether the numbers are exact
-             or a partial iterate, and the policy (fail loudly vs.
-             --allow-nonconverged) lives here, not in the library. *)
-          let stats, outcome =
-            Stabcore.Markov.hitting_stats_checked ?method_ ?weights chain ~legitimate
-          in
-          let nonconverged =
-            match outcome with
-            | Some (Stabcore.Markov.Converged s) ->
-              Format.printf
-                "sparse solve: %d blocks, %d sweeps, final relative residual %g@."
-                s.Stabcore.Markov.blocks s.Stabcore.Markov.sweeps
-                s.Stabcore.Markov.residual;
-              false
-            | Some (Stabcore.Markov.Max_sweeps s) ->
-              Obs.warnf
-                "sparse solver did NOT converge: %d sweeps across %d blocks exhausted \
-                 (final relative residual %g); the times below are a partial iterate, \
-                 not the exact expectation"
-                s.Stabcore.Markov.sweeps s.Stabcore.Markov.blocks
-                s.Stabcore.Markov.residual;
-              if not allow_nonconverged then
-                failwith
-                  "sparse solver did not converge; retry with a larger --max-sweeps, \
-                   --solver exact, or pass --allow-nonconverged to accept the partial \
-                   iterate";
-              true
-            | None -> false
-          in
-          Format.printf
-            "%s: converges with probability 1 under %s@.expected stabilization time%s: \
-             mean %.4f steps, worst initial configuration %.4f steps@."
-            e.label randomization
-            (if nonconverged then " (NONCONVERGED partial iterate)" else "")
-            stats.Stabcore.Markov.mean stats.Stabcore.Markov.max
-        | Error c ->
-          Format.printf
-            "%s: does NOT converge with probability 1 under %s@.counterexample \
-             configuration (code %d): %a@."
-            e.label randomization c
-            (Stabcore.Protocol.pp_config e.protocol)
-            (Stabcore.Statespace.config space c)))
+        print_answer ~allow_nonconverged q (answer q Eval.Exact))
   in
   let randomization_arg =
     let doc = "Randomized daemon: central-random, distributed-random, synchronous." in
+    (* Each scheduler class's uniform randomized daemon, by name. *)
+    let daemons =
+      List.map
+        (fun cls -> ((Stabcore.Scheduler.of_class cls).Stabcore.Scheduler.name, cls))
+        Stabcore.Statespace.[ Central; Distributed; Synchronous ]
+    in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("central-random", Stabcore.Markov.Central_uniform);
-               ("distributed-random", Stabcore.Markov.Distributed_uniform);
-               ("synchronous", Stabcore.Markov.Sync);
-             ])
-          Stabcore.Markov.Distributed_uniform
+      & opt (enum daemons) Stabcore.Statespace.Distributed
       & info [ "r"; "randomization" ] ~docv:"R" ~doc)
   in
   let quotient_arg =
@@ -617,8 +580,8 @@ let markov_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ randomization_arg $ quotient_arg $ solver_term $ allow_nonconverged_arg))
+        (const run $ obs_term $ instance_term $ randomization_arg $ quotient_arg
+       $ solver_term $ allow_nonconverged_arg))
   in
   Cmd.v
     (Cmd.info "markov"
@@ -630,16 +593,17 @@ let markov_cmd =
 (* --- montecarlo --- *)
 
 let montecarlo_cmd =
-  let run () protocol topology transformed file seed scheduler runs max_steps =
+  let run () q seed scheduler runs max_steps =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let rng = Stabrng.Rng.create seed in
-        let sched = instantiate_scheduler scheduler in
-        let result =
-          Stabcore.Montecarlo.estimate ~runs ~max_steps rng e.protocol sched e.spec
+        let q =
+          {
+            q with
+            Query.seed;
+            sampling = { scheduler = Some scheduler; runs; max_steps; faults = Query.No_faults };
+            analysis = Query.Montecarlo;
+          }
         in
-        Format.printf "%s under %s: %d runs from uniform initial configurations@.%a@."
-          e.label (scheduler_label scheduler) runs Stabcore.Montecarlo.pp_result result)
+        print_answer q (answer q Eval.Montecarlo))
   in
   let runs_arg =
     Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of sampled runs.")
@@ -652,44 +616,18 @@ let montecarlo_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ seed_arg $ scheduler_arg $ runs_arg $ max_steps_arg))
+        (const run $ obs_term $ instance_term $ seed_arg $ scheduler_arg $ runs_arg
+       $ max_steps_arg))
   in
   Cmd.v (Cmd.info "montecarlo" ~doc:"Sampled stabilization-time estimates.") term
 
 (* --- reach (on-the-fly analysis) --- *)
 
 let reach_cmd =
-  let run () protocol topology transformed file cls seed inits max_states =
+  let run () q sched seed inits max_states =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let space = Stabcore.Statespace.build ~max_configs:max_int e.protocol in
-        let rng = Stabrng.Rng.create seed in
-        let init_configs =
-          List.init inits (fun _ -> Stabcore.Protocol.random_config rng e.protocol)
-        in
-        let show (verdict, stats) what =
-          Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
-            (match verdict with
-            | Stabcore.Onthefly.Converges -> "HOLDS on the reachable sub-system"
-            | Stabcore.Onthefly.Counterexample code ->
-              Format.asprintf "FAILS; counterexample %a"
-                (Stabcore.Protocol.pp_config e.protocol)
-                (Stabcore.Statespace.config space code)
-            | Stabcore.Onthefly.Unknown -> "UNKNOWN (state budget exhausted)")
-            stats.Stabcore.Onthefly.explored stats.Stabcore.Onthefly.edges
-            (if stats.Stabcore.Onthefly.complete then "" else "; incomplete")
-        in
-        Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
-          e.label Stabcore.Statespace.pp_sched_class cls inits seed;
-        show
-          (Stabcore.Onthefly.possible_convergence_from ~max_states space cls e.spec
-             ~inits:init_configs)
-          "possible convergence (weak)";
-        show
-          (Stabcore.Onthefly.certain_convergence_from ~max_states space cls e.spec
-             ~inits:init_configs)
-          "certain convergence (self)")
+        let q = { q with Query.sched; seed; analysis = Query.Reach { inits; max_states } } in
+        print_answer q (answer q Eval.Onthefly))
   in
   let inits_arg =
     Arg.(
@@ -704,8 +642,8 @@ let reach_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ sched_class_arg $ seed_arg $ inits_arg $ max_states_arg))
+        (const run $ obs_term $ instance_term $ sched_class_arg $ seed_arg $ inits_arg
+       $ max_states_arg))
   in
   Cmd.v
     (Cmd.info "reach"
@@ -717,9 +655,9 @@ let reach_cmd =
 (* --- orbit (synchronous census) --- *)
 
 let orbit_cmd =
-  let run () protocol topology transformed file =
+  let run () q =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
+        let (Stabexp.Registry.Entry e) = Eval.resolve q in
         let space = Stabcore.Statespace.build e.protocol in
         let census = Stabcore.Checker.sync_orbit_census space in
         Format.printf
@@ -730,11 +668,7 @@ let orbit_cmd =
           (fun (length, count) -> Format.printf "  cycle length %d: %d configurations@." length count)
           census)
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg))
-  in
+  let term = Term.(term_result (const run $ obs_term $ instance_term)) in
   Cmd.v
     (Cmd.info "orbit"
        ~doc:"Census of synchronous limit cycles (how prevalent Figure-3 oscillations are).")
@@ -762,13 +696,13 @@ let hunt_legitimate_start rng (p : 'a Stabcore.Protocol.t) spec =
   hunt 50
 
 let faults_cmd =
-  let run () protocol topology transformed file cls seed ks runs horizon gap max_configs =
+  let run () q cls seed ks runs horizon gap max_configs =
     wrap (fun () ->
-        let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
+        let (Stabexp.Registry.Entry e) = Eval.resolve q in
         let ks = List.sort_uniq compare ks in
         if ks = [] then invalid_arg "no fault counts given";
         if List.exists (fun k -> k < 0) ks then invalid_arg "negative fault count";
-        let sched = class_scheduler cls in
+        let sched = Stabcore.Scheduler.of_class cls in
         let rng = Stabrng.Rng.create seed in
         let availability_line start k =
           let plan = Stabcore.Faults.periodic e.protocol ~gap ~faults:k in
@@ -925,9 +859,8 @@ let faults_cmd =
   let term =
     Term.(
       term_result
-        (const run $ obs_term $ protocol_arg $ topology_arg $ transformed_arg $ file_arg
-       $ sched_class_arg $ seed_arg $ faults_list_arg $ runs_arg $ horizon_arg $ gap_arg
-       $ max_configs_arg))
+        (const run $ obs_term $ instance_term $ sched_class_arg $ seed_arg
+       $ faults_list_arg $ runs_arg $ horizon_arg $ gap_arg $ max_configs_arg))
   in
   Cmd.v
     (Cmd.info "faults"
@@ -1019,7 +952,7 @@ let profile_cmd =
             Printf.sprintf "%s:%d" shape n
         in
         let (Stabexp.Registry.Entry e) =
-          resolve ~protocol ~topology ~transformed:false ~file:None
+          Eval.resolve { Query.default with source = Query.Registry protocol; topology }
         in
         let profile = Obs.Profile.create () in
         Obs.install (Obs.Profile.sink profile);
@@ -1031,20 +964,14 @@ let profile_cmd =
         let space = Stabcore.Statespace.build e.protocol in
         let v = Stabcore.Checker.analyze space cls e.spec in
         let legitimate = Stabcore.Statespace.legitimate_set space e.spec in
-        let randomization =
-          match cls with
-          | Stabcore.Statespace.Central -> Stabcore.Markov.Central_uniform
-          | Stabcore.Statespace.Distributed -> Stabcore.Markov.Distributed_uniform
-          | Stabcore.Statespace.Synchronous -> Stabcore.Markov.Sync
-        in
-        let chain = Stabcore.Markov.of_space space randomization in
+        let chain = Stabcore.Markov.of_space space (Stabcore.Markov.of_class cls) in
         let prob1 = Stabcore.Markov.converges_with_prob_one chain ~legitimate in
         let hit_stats =
           match prob1 with
           | Ok () -> Some (Stabcore.Markov.hitting_stats chain ~legitimate)
           | Error _ -> None
         in
-        let sched = class_scheduler cls in
+        let sched = Stabcore.Scheduler.of_class cls in
         let mc =
           Stabcore.Montecarlo.estimate ~runs ~max_steps:1_000_000 rng e.protocol sched
             e.spec

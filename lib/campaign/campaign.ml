@@ -2,7 +2,7 @@ module Json = Stabobs.Json
 
 type analysis = Check | Markov | Montecarlo
 
-type faults =
+type faults = Stabexp.Query.faults =
   | No_faults
   | Periodic of { gap : int; faults : int }
   | Bernoulli of { rate : float; faults : int }
@@ -138,6 +138,24 @@ let cell_seed t c =
      mixed with the campaign seed. *)
   let bits = int_of_string ("0x" ^ String.sub (cell_hash c) 0 12) in
   t.seed lxor bits
+
+let query t c =
+  {
+    Stabexp.Query.default with
+    source = Stabexp.Query.Registry c.protocol;
+    topology = c.topology;
+    transformed = c.transformed;
+    sched = c.sched;
+    seed = cell_seed t c;
+    max_configs = c.max_configs;
+    sampling =
+      { scheduler = None; runs = c.runs; max_steps = c.max_steps; faults = c.faults };
+    analysis =
+      (match c.analysis with
+      | Check -> Stabexp.Query.Check
+      | Markov -> Stabexp.Query.Markov { solver = None; allow_nonconverged = false }
+      | Montecarlo -> Stabexp.Query.Montecarlo);
+  }
 
 (* {1 Parsing} *)
 

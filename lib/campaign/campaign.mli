@@ -39,7 +39,7 @@
 
 type analysis = Check | Markov | Montecarlo
 
-type faults =
+type faults = Stabexp.Query.faults =
   | No_faults
   | Periodic of { gap : int; faults : int }
   | Bernoulli of { rate : float; faults : int }
@@ -74,12 +74,9 @@ val analysis_to_string : analysis -> string
 val faults_to_string : faults -> string
 val sched_to_string : Stabcore.Statespace.sched_class -> string
 
-val cell_json : cell -> Stabobs.Json.t
-(** Canonical (fixed key order) JSON of a cell spec — the hashing and
-    checkpoint representation. *)
-
 val cell_hash : cell -> string
-(** Content hash (hex digest of {!cell_json}'s compact rendering).
+(** Content hash: hex digest of the compact rendering of the cell
+    spec as canonical (fixed key order) JSON.
     Checkpoint records are keyed by this, so editing a cell's spec in
     any way invalidates its checkpoint entry while leaving every other
     cell's intact. *)
@@ -87,6 +84,11 @@ val cell_hash : cell -> string
 val cell_label : cell -> string
 (** Human-readable cell identifier, e.g.
     ["token-ring(ring:5)/central/check"]. *)
+
+val query : t -> cell -> Stabexp.Query.t
+(** The cell as an analysis request: its instance, class and budgets,
+    seeded with {!cell_seed}, sampling under the class's randomized
+    daemon with the cell's fault plan. *)
 
 val cell_seed : t -> cell -> int
 (** The cell's RNG seed: campaign seed mixed with the cell hash. A

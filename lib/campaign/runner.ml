@@ -293,151 +293,16 @@ let backoff_delays ~seed ~base_ms ~attempts =
       let jitter = 0.5 +. Stabrng.Rng.float rng in
       float_of_int base_ms *. Float.pow 2.0 (float_of_int i) *. jitter /. 1000.0)
 
-(* {1 One cell's analysis}
+(* {1 The per-cell attempt state machine}
 
-   Everything below runs inside the attempt's Cancel token, so a
-   timeout or drain can interrupt any of it at the library poll
-   points. Results must be a pure function of (cell, campaign seed):
-   only the serial Monte-Carlo estimator is used (its sample is
-   deterministic per seed), and on-the-fly initial configurations are
-   drawn from the cell's own stream. *)
+   Each attempt runs one rung of the cell's query ({!Stabexp.Eval})
+   inside the attempt's Cancel token, so a timeout or drain can
+   interrupt it at the library poll points. Results must be a pure
+   function of (cell, campaign seed): the evaluator seeds its random
+   initial configurations and its (serial) Monte-Carlo sample from the
+   cell's own seed. *)
 
-exception Demote of string
-
-type rung = Exact_rung | Onthefly_rung | Montecarlo_rung
-
-let rung_label = function
-  | Exact_rung -> "exact"
-  | Onthefly_rung -> "onthefly"
-  | Montecarlo_rung -> "montecarlo"
-
-let ladder (cell : Campaign.cell) =
-  match cell.analysis with
-  | Campaign.Check -> [ Exact_rung; Onthefly_rung; Montecarlo_rung ]
-  (* A Markov cell has no on-the-fly rung: hitting times need the full
-     chain, so the only weaker analysis is simulation. *)
-  | Campaign.Markov -> [ Exact_rung; Montecarlo_rung ]
-  | Campaign.Montecarlo -> [ Montecarlo_rung ]
-
-let scheduler_of = function
-  | Statespace.Central -> Scheduler.central_random ()
-  | Statespace.Distributed -> Scheduler.distributed_random ()
-  | Statespace.Synchronous -> Scheduler.synchronous ()
-
-let randomization_of = function
-  | Statespace.Central -> Markov.Central_uniform
-  | Statespace.Distributed -> Markov.Distributed_uniform
-  | Statespace.Synchronous -> Markov.Sync
-
-let onthefly_verdict = function
-  | Onthefly.Converges -> "holds"
-  | Onthefly.Counterexample c -> Printf.sprintf "fails@%d" c
-  | Onthefly.Unknown -> "unknown"
-
-let mc_field = function
-  | Some s -> Json.Float s.Stabstats.Stats.mean
-  | None -> Json.Null
-
-let run_cell_analysis campaign (cell : Campaign.cell) rung =
-  let (Stabexp.Registry.Entry { protocol; spec; _ }) =
-    Stabexp.Registry.find ~name:cell.protocol ~topology:cell.topology
-      ~transformed:cell.transformed ()
-  in
-  let rng = Stabrng.Rng.create (Campaign.cell_seed campaign cell) in
-  match rung with
-  | Exact_rung -> (
-    match Statespace.try_build ~max_configs:cell.max_configs protocol with
-    | Error reason -> raise (Demote reason)
-    | Ok space -> (
-      match cell.analysis with
-      | Campaign.Check ->
-        let v = Checker.analyze space cell.sched spec in
-        Json.Obj
-          [
-            ("configs", Json.Int (Statespace.count space));
-            ("weak", Json.Bool (Checker.weak_stabilizing v));
-            ("self", Json.Bool (Checker.self_stabilizing v));
-            ("self_weakly_fair", Json.Bool (Checker.self_stabilizing_weakly_fair v));
-            ( "self_strongly_fair",
-              Json.Bool (Checker.self_stabilizing_strongly_fair v) );
-          ]
-      | Campaign.Markov -> (
-        let legitimate = Statespace.legitimate_set space spec in
-        let chain = Markov.of_space space (randomization_of cell.sched) in
-        match Markov.converges_with_prob_one chain ~legitimate with
-        | Error c ->
-          Json.Obj
-            [ ("prob1", Json.Bool false); ("unreachable_from", Json.Int c) ]
-        | Ok () -> (
-          let stats, outcome = Markov.hitting_stats_checked chain ~legitimate in
-          match outcome with
-          | Some (Markov.Max_sweeps _) ->
-            (* The Max_sweeps-prone solve the ladder exists for: the
-               exact answer is out of reach, fall back to sampling. *)
-            raise (Demote "sparse solver hit its sweep budget")
-          | Some (Markov.Converged _) | None ->
-            Json.Obj
-              [
-                ("prob1", Json.Bool true);
-                ("configs", Json.Int (Statespace.count space));
-                ("mean", Json.Float stats.Markov.mean);
-                ("max", Json.Float stats.Markov.max);
-              ]))
-      | Campaign.Montecarlo ->
-        (* The ladder never sends a Monte-Carlo cell here. *)
-        raise (Demote "montecarlo cell on the exact rung")))
-  | Onthefly_rung ->
-    let space =
-      (* Only the encoding is materialized here; the exploration hash
-         table is capped by the cell's budget below. *)
-      match Statespace.plan ~max_configs:max_int protocol with
-      | `Exact space | `Onthefly space -> space
-      | `Montecarlo reason -> raise (Demote reason)
-    in
-    let inits =
-      List.init 5 (fun _ -> Protocol.random_config rng protocol)
-    in
-    let possible, pstats =
-      Onthefly.possible_convergence_from ~max_states:cell.max_configs space
-        cell.sched spec ~inits
-    in
-    let certain, _ =
-      Onthefly.certain_convergence_from ~max_states:cell.max_configs space
-        cell.sched spec ~inits
-    in
-    Json.Obj
-      [
-        ("inits", Json.Int (List.length inits));
-        ("possible", Json.String (onthefly_verdict possible));
-        ("certain", Json.String (onthefly_verdict certain));
-        ("explored", Json.Int pstats.Onthefly.explored);
-      ]
-  | Montecarlo_rung ->
-    let sched = scheduler_of cell.sched in
-    let inject =
-      match cell.faults with
-      | Campaign.No_faults -> None
-      | Campaign.Periodic { gap; faults } ->
-        Some (Faults.arm (Faults.periodic protocol ~gap ~faults))
-      | Campaign.Bernoulli { rate; faults } ->
-        Some (Faults.arm (Faults.bernoulli protocol ~rate ~faults))
-      | Campaign.Burst { at; faults } ->
-        Some (Faults.arm (Faults.burst protocol ~at ~faults))
-    in
-    let r =
-      Montecarlo.estimate ?inject ~runs:cell.runs ~max_steps:cell.max_steps rng
-        protocol sched spec
-    in
-    Json.Obj
-      [
-        ("runs", Json.Int cell.runs);
-        ("converged", Json.Int (Array.length r.Montecarlo.times));
-        ("timeouts", Json.Int r.Montecarlo.timeouts);
-        ("mean_steps", mc_field r.Montecarlo.summary);
-        ("mean_rounds", mc_field r.Montecarlo.rounds_summary);
-      ]
-
-(* {1 The per-cell attempt state machine} *)
+module Eval = Stabexp.Eval
 
 exception Drain_exit
 
@@ -454,6 +319,7 @@ type finished = {
 let crash_budget = 2
 
 let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
+  let query = Campaign.query campaign cell in
   let timeout_ms =
     match options.timeout_ms with
     | Some _ as t -> t
@@ -500,15 +366,20 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     if draining () then Cancel.cancel tok;
     let outcome =
       Fun.protect ~finally:(fun () -> inflight_remove tok) @@ fun () ->
-      match Cancel.with_current tok (fun () -> run_cell_analysis campaign cell rung) with
-      | payload -> `Ok payload
+      (* The payload is rendered under the token too: it forces the
+         verdict's deferred fairness analysis. *)
+      match
+        Cancel.with_current tok (fun () ->
+            Stdlib.Result.map Eval.Result.to_json (Eval.run query rung))
+      with
+      | Ok payload -> `Ok payload
+      | Error reason -> `Demote reason
       | exception Cancel.Cancelled Cancel.Drained -> `Drained
       | exception Cancel.Cancelled Cancel.Timeout -> `Timeout
-      | exception Demote reason -> `Demote reason
       | exception Sys_error msg -> `Transient msg
       | exception e -> `Crash (Printexc.to_string e)
     in
-    let mode = rung_label rung in
+    let mode = Eval.rung_label rung in
     match outcome with
     | `Ok payload ->
       finish (if degraded then Checkpoint.Degraded else Checkpoint.Done) mode payload None
@@ -563,7 +434,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
         attempt rung rest degraded
       end
   in
-  match ladder cell with
+  match Eval.ladder query with
   | [] -> assert false
   | first :: rest -> attempt first rest false
 

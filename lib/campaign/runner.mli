@@ -2,9 +2,10 @@
 
     Cells are fanned out across OCaml 5 [Domain]s pulling from a shared
     queue. Each cell attempt runs under a {!Stabcore.Cancel} token
-    whose deadline enforces the per-cell wall-clock timeout; timeouts
-    demote the cell down the Exact / On-the-fly / Monte-Carlo ladder
-    before retrying, transient failures ([Sys_error]) retry on the same
+    whose deadline enforces the per-cell wall-clock timeout. The cell
+    runs as a {!Stabexp.Query} on the rungs of {!Stabexp.Eval.ladder}:
+    a timeout, or a rung that cannot answer, demotes it to the next
+    rung; transient failures ([Sys_error]) retry on the same
     rung with exponential backoff + jitter (seeded, deterministic), and
     a cell that crashes its worker twice is quarantined — reported,
     never aborting the campaign. Finished cells append fsync'd

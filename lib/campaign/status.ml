@@ -27,6 +27,11 @@ let escape_label_value s =
 
 let fmt_float f = Printf.sprintf "%.10g" f
 
+(* The [/metrics] body: [# TYPE] lines and samples, names prefixed
+   [stabsim_] and sanitized to [[A-Za-z0-9_]]. Counters render as
+   [counter], gauges as [gauge], labels as [<name>_info{value="..."} 1],
+   distributions as [summary] (quantiles 0.5 / 0.95 / 0.99 plus [_sum]
+   / [_count]). *)
 let metrics_text () =
   let s = Registry.snapshot () in
   let buf = Buffer.create 4096 in
@@ -137,6 +142,7 @@ let campaign_json () =
         ("workers", Json.List (List.map worker_json (Runner.heartbeats ())));
       ]
 
+(* The [/status] body; see docs/observability.md for the schema. *)
 let status_json () =
   Json.Obj
     [

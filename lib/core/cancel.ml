@@ -48,7 +48,6 @@ let last_poll_ns t = Atomic.get t.last_poll
 
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let set_current tok = Domain.DLS.get key := tok
 let current () = !(Domain.DLS.get key)
 
 let with_current tok f =

@@ -63,11 +63,6 @@ val last_poll_ns : t -> int
 
 (** {1 The per-domain current token} *)
 
-val set_current : t option -> unit
-(** Install (or clear) this domain's current token. Workers spawned by
-    library code inherit the spawning domain's token explicitly, not
-    automatically — see {!current}. *)
-
 val current : unit -> t option
 
 val with_current : t -> (unit -> 'a) -> 'a

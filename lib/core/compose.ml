@@ -1,7 +1,6 @@
 type ('a, 'b) layered = { base : 'a; overlay : 'b }
 
 let base_config cfg = Array.map (fun s -> s.base) cfg
-let overlay_config cfg = Array.map (fun s -> s.overlay) cfg
 
 let collateral ~name ~base ~overlay_domain ~overlay_actions ~overlay_equal ~overlay_pp
     ?(overlay_randomized = false) () =

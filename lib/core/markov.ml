@@ -1,5 +1,10 @@
 type randomization = Central_uniform | Distributed_uniform | Sync
 
+let of_class = function
+  | Statespace.Central -> Central_uniform
+  | Statespace.Distributed -> Distributed_uniform
+  | Statespace.Synchronous -> Sync
+
 (* The chain lives in compressed-sparse-row form, packed straight off
    the checker's flat successor arrays: row [c] occupies
    [off.(c) .. off.(c + 1) - 1] of [cols]/[w], targets merged and
@@ -381,7 +386,6 @@ type sparse_kind = Gauss_seidel | Jacobi
 
 type hitting_method =
   | Exact
-  | Iterative of { tolerance : float; max_sweeps : int }
   | Sparse of { kind : sparse_kind; tolerance : float; max_sweeps : int }
 
 type solve_stats = { sweeps : int; residual : float; blocks : int }
@@ -565,7 +569,6 @@ let hitting_times_checked ?method_ chain ~legitimate =
       let out = Array.make n 0.0 in
       Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
       (out, None)
-    | Iterative { tolerance; max_sweeps }
     | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } ->
       let times, outcome = sparse_hitting_times ~tolerance ~max_sweeps chain ~legitimate in
       (times, Some outcome)
@@ -577,7 +580,7 @@ let hitting_times_checked ?method_ chain ~legitimate =
   end
 
 let method_tolerance = function
-  | Some (Iterative { tolerance; _ }) | Some (Sparse { tolerance; _ }) -> tolerance
+  | Some (Sparse { tolerance; _ }) -> tolerance
   | Some Exact | None -> 1e-10
 
 let expected_hitting_times ?method_ chain ~legitimate =
@@ -626,7 +629,6 @@ let absorption_probabilities ?method_ chain ~legitimate =
   in
   match method_ with
   | Exact -> exact_absorption chain ~legitimate
-  | Iterative { tolerance; max_sweeps }
   | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } -> (
     let p, outcome = sparse_absorption ~tolerance ~max_sweeps chain ~legitimate in
     match outcome with

@@ -28,6 +28,10 @@ type randomization =
   | Sync  (** activate all enabled processes (probabilistic branching
               comes only from P-variables; Theorem 8's setting) *)
 
+val of_class : Statespace.sched_class -> randomization
+(** The randomized daemon of a scheduler class: the class's uniform
+    choice, made probabilistic. *)
+
 type t
 (** A finite Markov chain over configuration codes; terminal
     configurations are absorbing (probability-1 self-loop). *)
@@ -69,8 +73,6 @@ type sparse_kind =
 
 type hitting_method =
   | Exact  (** dense Gaussian elimination; O(t^3) in transient count *)
-  | Iterative of { tolerance : float; max_sweeps : int }
-      (** legacy alias: identical to [Sparse] with [Gauss_seidel] *)
   | Sparse of { kind : sparse_kind; tolerance : float; max_sweeps : int }
       (** BSCC-blocked sweeps with relative-residual stopping:
           [||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tolerance],
@@ -176,12 +178,6 @@ type hitting_stats = {
   mean : float;  (** average over starting states, weighted if lumped *)
   max : float;  (** worst-case starting state *)
 }
-
-val stats_of_times : ?weights:int array -> float array -> hitting_stats
-(** Summarize an already-solved hitting-time vector — what
-    {!hitting_stats} applies after its solve. Use it with
-    {!sparse_hitting_times} when the typed outcome is wanted alongside
-    the summary. [weights] as in {!hitting_stats}. *)
 
 val hitting_stats :
   ?method_:hitting_method ->

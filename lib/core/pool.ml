@@ -207,10 +207,6 @@ let busy_ns () =
   in
   lanes @ [ ("caller", Atomic.get pool.caller_busy) ]
 
-let reset_busy () =
-  Array.iter (fun a -> Atomic.set a 0) pool.busy;
-  Atomic.set pool.caller_busy 0
-
 let wake_all () =
   Mutex.protect pool.mu (fun () ->
       pool.signals <- pool.signals + 1;

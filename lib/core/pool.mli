@@ -115,9 +115,7 @@ val scatter : int -> (int -> unit) -> unit
     semantics are those of {!parallel_for}. *)
 
 val busy_ns : unit -> (string * int) list
-(** Cumulative task-execution time per lane since the last
-    {!reset_busy}: one ["pool-1"] .. entry per helper slot plus
-    ["caller"] aggregating work the submitting (or any non-helper)
-    domain ran inline. *)
-
-val reset_busy : unit -> unit
+(** Cumulative task-execution time per lane since the process
+    started: one ["pool-1"] .. entry per helper slot plus ["caller"]
+    aggregating work the submitting (or any non-helper) domain ran
+    inline. *)

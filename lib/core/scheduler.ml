@@ -107,3 +107,22 @@ let probabilistic_gate p sched =
         in
         keep ());
   }
+
+type kind = Central_random | Distributed_random | Synchronous | Central_first | Round_robin
+
+let make = function
+  | Central_random -> central_random ()
+  | Distributed_random -> distributed_random ()
+  | Synchronous -> synchronous ()
+  | Central_first -> central_first ()
+  | Round_robin -> round_robin ()
+
+let kinds =
+  List.map
+    (fun k -> ((make k).name, k))
+    [ Central_random; Distributed_random; Synchronous; Central_first; Round_robin ]
+
+let of_class = function
+  | Statespace.Central -> central_random ()
+  | Statespace.Distributed -> distributed_random ()
+  | Statespace.Synchronous -> synchronous ()

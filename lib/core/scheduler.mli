@@ -59,3 +59,19 @@ val probabilistic_gate : float -> 'a t -> 'a t
 (** [probabilistic_gate p sched] filters the chosen subset, keeping each
     process independently with probability [p] (re-drawing until the
     kept set is non-empty). Models unreliable activation. *)
+
+(** {1 Named schedulers} *)
+
+type kind = Central_random | Distributed_random | Synchronous | Central_first | Round_robin
+(** The parameterless schedulers above, as data (e.g. a CLI choice). *)
+
+val make : kind -> 'a t
+(** A fresh instance ({!round_robin} is stateful). *)
+
+val kinds : (string * kind) list
+(** Every kind under its scheduler's [name], e.g. ["central-random"]. *)
+
+val of_class : Statespace.sched_class -> 'a t
+(** The simulation face of a scheduler class: its uniform randomized
+    daemon (Definition 6) — {!central_random}, {!distributed_random} or
+    {!synchronous}. *)

@@ -24,10 +24,6 @@ val try_build : ?max_configs:int -> 'a Protocol.t -> ('a t, string) result
 (** {!build} that reports a budget overrun as [Error] instead of
     raising, for callers that degrade gracefully. *)
 
-val estimated_configs : 'a Protocol.t -> float
-(** Product of the domain sizes, as a float — safe to compute even when
-    the space would overflow the integer encoding. *)
-
 type 'a strategy = [ `Exact of 'a t | `Onthefly of 'a t | `Montecarlo of string ]
 
 val plan :

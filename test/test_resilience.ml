@@ -98,7 +98,7 @@ let test_radius_of_requires_metrics () =
   Alcotest.check_raises "empty" (Invalid_argument "Resilience.radius_of: no metrics")
     (fun () -> ignore (Resilience.radius_of []))
 
-(* --- graceful degradation: Statespace.plan / Checker.analyze_under_budget --- *)
+(* --- graceful degradation: Statespace.plan / Eval's ladder --- *)
 
 let test_plan_exact_when_small () =
   let p = Stabalgo.Token_ring.make ~n:5 in
@@ -127,39 +127,60 @@ let test_try_build_reports_overflow () =
   | Ok _ -> Alcotest.fail "budget should fail the build"
   | Error msg -> Alcotest.(check bool) "message" true (msg <> "")
 
-let test_analyze_under_budget_exact () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  match Checker.analyze_under_budget p Statespace.Central spec with
-  | `Exact v ->
+(* The evaluator's ladder: each rung answers within its budget or
+   reports why it cannot, so a caller can demote to the next one. *)
+let budget_query ?(topology = "ring:5") max_configs =
+  {
+    Stabexp.Query.default with
+    topology;
+    sched = Statespace.Central;
+    max_configs;
+    sampling = { Stabexp.Query.default.sampling with runs = 20; max_steps = 10_000 };
+  }
+
+let test_eval_exact_rung () =
+  match Stabexp.Eval.run (budget_query 2_000_000) Stabexp.Eval.Exact with
+  | Ok { Stabexp.Eval.Result.body = Stabexp.Eval.Result.Check { verdict = v; _ }; _ } ->
     Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
     Alcotest.(check bool) "not self-stabilizing" true (not (Checker.self_stabilizing v))
-  | `Onthefly _ | `Montecarlo _ -> Alcotest.fail "expected exact verdict"
+  | Ok _ -> Alcotest.fail "expected a check answer"
+  | Error reason -> Alcotest.failf "exact rung refused: %s" reason
 
-let test_analyze_under_budget_onthefly () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  let inits = [ Stabalgo.Token_ring.legitimate_config ~n ] in
-  (* Budget below the 32 configurations but big enough to finish the
-     forward exploration from one legitimate start. *)
-  match Checker.analyze_under_budget ~max_configs:20 ~inits p Statespace.Central spec with
-  | `Onthefly a ->
-    Alcotest.(check bool)
-      "possible convergence holds from L" true
-      (a.Checker.possible_from = Onthefly.Converges);
-    Alcotest.(check bool) "exploration bounded" true (a.Checker.exploration.Onthefly.explored <= 20)
-  | `Exact _ -> Alcotest.fail "budget should preclude exact analysis"
-  | `Montecarlo _ -> Alcotest.fail "on-the-fly should apply"
+let test_eval_onthefly_rung () =
+  (* Budget below the 32 configurations: the exact rung refuses, the
+     on-the-fly rung explores within the same budget. *)
+  let q = budget_query 20 in
+  (match Stabexp.Eval.run q Stabexp.Eval.Exact with
+  | Error reason -> Alcotest.(check bool) "reason given" true (reason <> "")
+  | Ok _ -> Alcotest.fail "budget should preclude exact analysis");
+  match Stabexp.Eval.run q Stabexp.Eval.Onthefly with
+  | Ok { Stabexp.Eval.Result.body = Stabexp.Eval.Result.Reach r; _ } ->
+    Alcotest.(check int) "default initial configurations" 5 r.inits;
+    List.iter
+      (fun (o : Stabexp.Eval.Result.onthefly) ->
+        Alcotest.(check bool) "exploration bounded" true (o.stats.Onthefly.explored <= 20);
+        Alcotest.(check bool)
+          "unknown exactly when the budget stopped exploration" (not o.stats.Onthefly.complete)
+          (o.verdict = Onthefly.Unknown))
+      [ r.possible; r.certain ]
+  | Ok _ -> Alcotest.fail "expected an on-the-fly answer"
+  | Error reason -> Alcotest.failf "on-the-fly rung refused: %s" reason
 
-let test_analyze_under_budget_montecarlo_without_inits () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  match Checker.analyze_under_budget ~max_configs:10 p Statespace.Central spec with
-  | `Montecarlo reason -> Alcotest.(check bool) "reason" true (reason <> "")
-  | `Exact _ | `Onthefly _ -> Alcotest.fail "no inits: only sampling remains"
+let test_eval_montecarlo_rung () =
+  (* 3^40 configurations overflow the encoding: only sampling remains. *)
+  let q = budget_query ~topology:"ring:40" 2_000_000 in
+  List.iter
+    (fun rung ->
+      match Stabexp.Eval.run q rung with
+      | Error reason -> Alcotest.(check bool) "reason given" true (reason <> "")
+      | Ok _ -> Alcotest.failf "%s rung answered" (Stabexp.Eval.rung_label rung))
+    [ Stabexp.Eval.Exact; Stabexp.Eval.Onthefly ];
+  match Stabexp.Eval.run q Stabexp.Eval.Montecarlo with
+  | Ok { Stabexp.Eval.Result.body = Stabexp.Eval.Result.Montecarlo m; _ } ->
+    Alcotest.(check int) "runs" 20 m.runs;
+    Alcotest.(check string) "class daemon" "central-random" m.scheduler
+  | Ok _ -> Alcotest.fail "expected a sampled answer"
+  | Error reason -> Alcotest.failf "sampling refused: %s" reason
 
 let suite =
   [
@@ -172,7 +193,7 @@ let suite =
     Alcotest.test_case "plan onthefly" `Quick test_plan_degrades_to_onthefly;
     Alcotest.test_case "plan montecarlo" `Quick test_plan_degrades_to_montecarlo;
     Alcotest.test_case "try_build" `Quick test_try_build_reports_overflow;
-    Alcotest.test_case "budget exact" `Quick test_analyze_under_budget_exact;
-    Alcotest.test_case "budget onthefly" `Quick test_analyze_under_budget_onthefly;
-    Alcotest.test_case "budget montecarlo" `Quick test_analyze_under_budget_montecarlo_without_inits;
+    Alcotest.test_case "budget exact" `Quick test_eval_exact_rung;
+    Alcotest.test_case "budget onthefly" `Quick test_eval_onthefly_rung;
+    Alcotest.test_case "budget montecarlo" `Quick test_eval_montecarlo_rung;
   ]
