@@ -260,6 +260,18 @@ let transformed_arg =
   let doc = "Apply the Section 4 coin-toss transformer to the protocol." in
   Arg.(value & flag & info [ "transformed" ] ~doc)
 
+(* Counts and budgets (runs, initial configurations, steps, states,
+   sweeps) must be positive: zero or a negative value is a usage error
+   at parse time, not a vacuous verdict, a run of timeouts or an
+   exception halfway through the output. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let seed_arg =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -285,14 +297,7 @@ let sched_class_arg =
   let doc = "Scheduler class for exhaustive checking: central, distributed, synchronous." in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("central", Stabcore.Statespace.Central);
-             ("distributed", Stabcore.Statespace.Distributed);
-             ("synchronous", Stabcore.Statespace.Synchronous);
-           ])
-        Stabcore.Statespace.Distributed
+    & opt (enum Stabcore.Statespace.sched_classes) Stabcore.Statespace.Distributed
     & info [ "class" ] ~docv:"CLASS" ~doc)
 
 let quick_arg =
@@ -323,7 +328,7 @@ let solver_term =
   in
   let max_sweeps_arg =
     let doc = "Sweep budget per strongly connected block of the sparse solvers." in
-    Arg.(value & opt int 1_000_000 & info [ "max-sweeps" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1_000_000 & info [ "max-sweeps" ] ~docv:"N" ~doc)
   in
   let make solver tolerance max_sweeps =
     match solver with
@@ -376,94 +381,83 @@ let instance_term =
 let answer q rung =
   match Eval.run q rung with Ok r -> r | Error reason -> failwith reason
 
-let print_check (q : Query.t) (r : Eval.Result.t) configs orbits verdict =
-  Format.printf "%s under the %a class (%d configurations)@.%s@." r.label
-    Stabcore.Statespace.pp_sched_class q.sched configs r.describe;
-  if q.quotient then begin
-    match orbits with
-    | Some (order, reps) ->
-      Format.printf "symmetry quotient: group order %d, %d orbit representatives@."
-        order reps
-    | None ->
-      Format.printf "symmetry quotient: validated group is trivial, full space retained@."
-  end;
-  Format.printf "@.%a@.@." Stabcore.Checker.pp_verdict verdict;
-  Format.printf "verdicts:@.  weak-stabilizing: %b@.  self-stabilizing (unfair): %b@.  \
-                 self-stabilizing (weakly fair): %b@.  self-stabilizing (strongly fair): %b@."
-    (Stabcore.Checker.weak_stabilizing verdict)
-    (Stabcore.Checker.self_stabilizing verdict)
-    (Stabcore.Checker.self_stabilizing_weakly_fair verdict)
-    (Stabcore.Checker.self_stabilizing_strongly_fair verdict)
-
-(* The markov subcommand always asks for the partial iterate of a
-   sparse solve that ran out of sweeps; whether to accept it
-   (--allow-nonconverged) is decided here. *)
-let print_markov ~allow_nonconverged (q : Query.t) (r : Eval.Result.t) states configs
-    lumped convergence =
-  let randomization = (Stabcore.Scheduler.of_class q.sched).Stabcore.Scheduler.name in
-  if lumped then
-    Format.printf "orbit-lumped chain: %d states for %d configurations@." states configs;
-  match convergence with
-  | Eval.Result.Prob1 { stats; solve } ->
-    let nonconverged =
-      match solve with
-      | Some (Stabcore.Markov.Converged s) ->
-        Format.printf "sparse solve: %d blocks, %d sweeps, final relative residual %g@."
-          s.Stabcore.Markov.blocks s.Stabcore.Markov.sweeps s.Stabcore.Markov.residual;
-        false
-      | Some (Stabcore.Markov.Max_sweeps s) ->
-        Obs.warnf
-          "sparse solver did NOT converge: %d sweeps across %d blocks exhausted (final \
-           relative residual %g); the times below are a partial iterate, not the exact \
-           expectation"
-          s.Stabcore.Markov.sweeps s.Stabcore.Markov.blocks s.Stabcore.Markov.residual;
-        if not allow_nonconverged then
-          failwith
-            "sparse solver did not converge; retry with a larger --max-sweeps, --solver \
-             exact, or pass --allow-nonconverged to accept the partial iterate";
-        true
-      | None -> false
-    in
-    Format.printf
-      "%s: converges with probability 1 under %s@.expected stabilization time%s: mean \
-       %.4f steps, worst initial configuration %.4f steps@."
-      r.label randomization
-      (if nonconverged then " (NONCONVERGED partial iterate)" else "")
-      stats.Stabcore.Markov.mean stats.Stabcore.Markov.max
-  | Eval.Result.Stuck { code; config } ->
-    Format.printf
-      "%s: does NOT converge with probability 1 under %s@.counterexample configuration \
-       (code %d): %s@."
-      r.label randomization code config
-
-let print_reach (q : Query.t) (r : Eval.Result.t) inits possible certain =
-  let show what (o : Eval.Result.onthefly) =
-    Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
-      (match (o.verdict, o.counterexample) with
-      | Stabcore.Onthefly.Converges, _ -> "HOLDS on the reachable sub-system"
-      | Stabcore.Onthefly.Counterexample _, Some config -> "FAILS; counterexample " ^ config
-      | Stabcore.Onthefly.Counterexample code, None ->
-        Printf.sprintf "FAILS; counterexample code %d" code
-      | Stabcore.Onthefly.Unknown, _ -> "UNKNOWN (state budget exhausted)")
-      o.stats.Stabcore.Onthefly.explored o.stats.Stabcore.Onthefly.edges
-      (if o.stats.Stabcore.Onthefly.complete then "" else "; incomplete")
-  in
-  Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
-    r.label Stabcore.Statespace.pp_sched_class q.sched inits q.seed;
-  show "possible convergence (weak)" possible;
-  show "certain convergence (self)" certain
-
-(* One printer per answer shape; each subcommand runs the rung that
-   yields its own shape. *)
-let print_answer ?(allow_nonconverged = false) q (r : Eval.Result.t) =
+(* Each subcommand runs the rung that yields its own answer shape. The
+   markov subcommand asks for the partial iterate of a sparse solve
+   that ran out of sweeps and decides here whether to accept it. *)
+let print_answer ?(allow_nonconverged = false) (q : Query.t) (r : Eval.Result.t) =
+  let module C = Stabcore in
   match r.body with
-  | Eval.Result.Check { configs; orbits; verdict } -> print_check q r configs orbits verdict
-  | Eval.Result.Markov { states; configs; lumped; convergence } ->
-    print_markov ~allow_nonconverged q r states configs lumped convergence
-  | Eval.Result.Reach { inits; possible; certain } -> print_reach q r inits possible certain
+  | Eval.Result.Check { configs; orbits; verdict = v } ->
+    Format.printf "%s under the %a class (%d configurations)@.%s@." r.label
+      C.Statespace.pp_sched_class q.sched configs r.describe;
+    (match (q.quotient, orbits) with
+    | false, _ -> ()
+    | true, Some (order, reps) ->
+      Format.printf "symmetry quotient: group order %d, %d orbit representatives@." order
+        reps
+    | true, None ->
+      Format.printf "symmetry quotient: validated group is trivial, full space retained@.");
+    Format.printf "@.%a@.@." C.Checker.pp_verdict v;
+    Format.printf "verdicts:@.  weak-stabilizing: %b@.  self-stabilizing (unfair): %b@.  \
+                   self-stabilizing (weakly fair): %b@.  self-stabilizing (strongly fair): %b@."
+      (C.Checker.weak_stabilizing v) (C.Checker.self_stabilizing v)
+      (C.Checker.self_stabilizing_weakly_fair v)
+      (C.Checker.self_stabilizing_strongly_fair v)
+  | Eval.Result.Markov { states; configs; lumped; convergence } -> (
+    let randomization = (C.Scheduler.of_class q.sched).C.Scheduler.name in
+    if lumped then
+      Format.printf "orbit-lumped chain: %d states for %d configurations@." states configs;
+    match convergence with
+    | Eval.Result.Prob1 { stats; solve } ->
+      let nonconverged =
+        match solve with
+        | Some (C.Markov.Converged s) ->
+          Format.printf "sparse solve: %d blocks, %d sweeps, final relative residual %g@."
+            s.C.Markov.blocks s.C.Markov.sweeps s.C.Markov.residual;
+          false
+        | Some (C.Markov.Max_sweeps s) ->
+          Obs.warnf
+            "sparse solver did NOT converge: %d sweeps across %d blocks exhausted (final \
+             relative residual %g); the times below are a partial iterate, not the exact \
+             expectation"
+            s.C.Markov.sweeps s.C.Markov.blocks s.C.Markov.residual;
+          if not allow_nonconverged then
+            failwith
+              "sparse solver did not converge; retry with a larger --max-sweeps, --solver \
+               exact, or pass --allow-nonconverged to accept the partial iterate";
+          true
+        | None -> false
+      in
+      Format.printf
+        "%s: converges with probability 1 under %s@.expected stabilization time%s: mean \
+         %.4f steps, worst initial configuration %.4f steps@."
+        r.label randomization
+        (if nonconverged then " (NONCONVERGED partial iterate)" else "")
+        stats.C.Markov.mean stats.C.Markov.max
+    | Eval.Result.Stuck { code; config } ->
+      Format.printf
+        "%s: does NOT converge with probability 1 under %s@.counterexample configuration \
+         (code %d): %s@."
+        r.label randomization code config)
+  | Eval.Result.Reach { inits; possible; certain } ->
+    let show what (o : Eval.Result.onthefly) =
+      Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
+        (match (o.verdict, o.counterexample) with
+        | C.Onthefly.Converges, _ -> "HOLDS on the reachable sub-system"
+        | C.Onthefly.Counterexample code, config ->
+          "FAILS; counterexample "
+          ^ Option.value config ~default:(Printf.sprintf "code %d" code)
+        | C.Onthefly.Unknown, _ -> "UNKNOWN (state budget exhausted)")
+        o.stats.C.Onthefly.explored o.stats.C.Onthefly.edges
+        (if o.stats.C.Onthefly.complete then "" else "; incomplete")
+    in
+    Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
+      r.label C.Statespace.pp_sched_class q.sched inits q.seed;
+    show "possible convergence (weak)" possible;
+    show "certain convergence (self)" certain
   | Eval.Result.Montecarlo { scheduler; runs; estimate } ->
     Format.printf "%s under %s: %d runs from uniform initial configurations@.%a@." r.label
-      scheduler runs Stabcore.Montecarlo.pp_result estimate
+      scheduler runs C.Montecarlo.pp_result estimate
 
 (* --- trace --- *)
 
@@ -555,8 +549,8 @@ let markov_cmd =
     (* Each scheduler class's uniform randomized daemon, by name. *)
     let daemons =
       List.map
-        (fun cls -> ((Stabcore.Scheduler.of_class cls).Stabcore.Scheduler.name, cls))
-        Stabcore.Statespace.[ Central; Distributed; Synchronous ]
+        (fun (_, cls) -> ((Stabcore.Scheduler.of_class cls).Stabcore.Scheduler.name, cls))
+        Stabcore.Statespace.sched_classes
     in
     Arg.(
       value
@@ -606,11 +600,11 @@ let montecarlo_cmd =
         print_answer q (answer q Eval.Montecarlo))
   in
   let runs_arg =
-    Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of sampled runs.")
+    Arg.(value & opt pos_int 1000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of sampled runs.")
   in
   let max_steps_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt pos_int 1_000_000
       & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run step budget before declaring a timeout.")
   in
   let term =
@@ -631,12 +625,12 @@ let reach_cmd =
   in
   let inits_arg =
     Arg.(
-      value & opt int 5
+      value & opt pos_int 5
       & info [ "inits" ] ~docv:"K" ~doc:"Number of random initial configurations.")
   in
   let max_states_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt pos_int 1_000_000
       & info [ "max-states" ] ~docv:"N" ~doc:"On-the-fly exploration budget.")
   in
   let term =
@@ -836,21 +830,21 @@ let faults_cmd =
       & info [ "k" ] ~docv:"K,K,..." ~doc:"Fault counts to profile.")
   in
   let runs_arg =
-    Arg.(value & opt int 500 & info [ "runs" ] ~docv:"RUNS" ~doc:"Runs per fault count.")
+    Arg.(value & opt pos_int 500 & info [ "runs" ] ~docv:"RUNS" ~doc:"Runs per fault count.")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 2_000
+      value & opt pos_int 2_000
       & info [ "horizon" ] ~docv:"N" ~doc:"Steps per availability run.")
   in
   let gap_arg =
     Arg.(
-      value & opt int 50
+      value & opt pos_int 50
       & info [ "gap" ] ~docv:"G" ~doc:"Steps between recurrent fault injections.")
   in
   let max_configs_arg =
     Arg.(
-      value & opt int 2_000_000
+      value & opt pos_int 2_000_000
       & info [ "max-configs" ] ~docv:"N"
           ~doc:
             "Exact-analysis budget; larger spaces degrade to on-the-fly exploration or \
@@ -1060,7 +1054,7 @@ let profile_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt int 200 & info [ "runs" ] ~docv:"RUNS" ~doc:"Monte-Carlo runs to sample.")
+      value & opt pos_int 200 & info [ "runs" ] ~docv:"RUNS" ~doc:"Monte-Carlo runs to sample.")
   in
   let json_arg =
     let doc =
@@ -1291,10 +1285,7 @@ let campaign_cmd =
             fresh;
             (* The shared --domains flag sizes the pool; workers follow it. *)
             domains = Stabcore.Pool.width ();
-            timeout_ms =
-              (match timeout_ms with
-              | Some _ -> timeout_ms
-              | None -> defaults.Stabcampaign.Runner.timeout_ms);
+            timeout_ms;
             (* Flight dumps ride next to the checkpoint: the rolling
                dump survives a SIGKILL between checkpoints, and each
                quarantined / timed-out cell leaves its own artifact.

@@ -44,16 +44,14 @@ let analysis_of_string = function
   | "montecarlo" | "mc" -> Montecarlo
   | s -> fail "unknown analysis %S (expected check|markov|montecarlo)" s
 
-let sched_to_string = function
-  | Stabcore.Statespace.Central -> "central"
-  | Stabcore.Statespace.Distributed -> "distributed"
-  | Stabcore.Statespace.Synchronous -> "synchronous"
+let sched_to_string = Stabcore.Statespace.sched_class_name
 
 let sched_of_string = function
-  | "central" -> Stabcore.Statespace.Central
-  | "distributed" -> Stabcore.Statespace.Distributed
-  | "synchronous" | "sync" -> Stabcore.Statespace.Synchronous
-  | s -> fail "unknown sched %S (expected central|distributed|synchronous)" s
+  | "sync" -> Stabcore.Statespace.Synchronous
+  | s -> (
+    match List.assoc_opt s Stabcore.Statespace.sched_classes with
+    | Some cls -> cls
+    | None -> fail "unknown sched %S (expected central|distributed|synchronous)" s)
 
 let faults_to_string = function
   | No_faults -> "none"
@@ -250,6 +248,17 @@ let matrix_cells defaults matrix =
         topologies)
     protocols
 
+(* Every cell's instance is built at load (construction is cheap; no
+   state space is touched), so an unknown protocol or a malformed
+   topology is a parse error naming the cell — not a worker crash at
+   run time. *)
+let validate_instance c =
+  match
+    Stabexp.Registry.find ~name:c.protocol ~topology:c.topology ~transformed:c.transformed ()
+  with
+  | _ -> ()
+  | exception (Invalid_argument m | Failure m) -> fail "cell %s: %s" (cell_label c) m
+
 let of_json j =
   try
     let get name = mem name j in
@@ -276,6 +285,7 @@ let of_json j =
     in
     let cells = from_matrix @ explicit in
     if cells = [] then fail "campaign declares no cells (no matrix, no cells)";
+    List.iter validate_instance cells;
     Ok
       {
         name = opt str ~what:"name" ~default:"campaign" (get "name");

@@ -46,8 +46,8 @@ type faults = Stabexp.Query.faults =
   | Burst of { at : int list; faults : int }
 
 type cell = {
-  protocol : string;  (** a {!Stabexp.Registry} name; validated at run time *)
-  topology : string;  (** e.g. ["ring:5"]; validated at run time *)
+  protocol : string;  (** a {!Stabexp.Registry} name *)
+  topology : string;  (** e.g. ["ring:5"] *)
   transformed : bool;  (** pass through the Section 4 transformer *)
   sched : Stabcore.Statespace.sched_class;
   analysis : analysis;
@@ -67,31 +67,34 @@ type t = {
 }
 
 val of_json : Stabobs.Json.t -> (t, string) result
+(** Parse a campaign. Every cell's protocol and topology are checked
+    here by building the instance ({!Stabexp.Registry.find}): an
+    unknown protocol or a malformed topology is an [Error] naming the
+    cell, not a failure at run time. Cells built directly as records
+    skip this check; the runner then treats a bad instance as a
+    crashing cell. *)
+
 val load : string -> (t, string) result
 (** Read and parse a campaign file. *)
 
-val analysis_to_string : analysis -> string
-val faults_to_string : faults -> string
-val sched_to_string : Stabcore.Statespace.sched_class -> string
 
 val cell_hash : cell -> string
-(** Content hash: hex digest of the compact rendering of the cell
-    spec as canonical (fixed key order) JSON.
-    Checkpoint records are keyed by this, so editing a cell's spec in
-    any way invalidates its checkpoint entry while leaving every other
-    cell's intact. *)
+(** Content hash: hex digest of the cell spec rendered as compact,
+    canonical (fixed key order) JSON. Checkpoint records are keyed by
+    this, so editing a cell's spec in any way invalidates its
+    checkpoint entry while leaving every other cell's intact. *)
 
 val cell_label : cell -> string
 (** Human-readable cell identifier, e.g.
     ["token-ring(ring:5)/central/check"]. *)
-
-val query : t -> cell -> Stabexp.Query.t
-(** The cell as an analysis request: its instance, class and budgets,
-    seeded with {!cell_seed}, sampling under the class's randomized
-    daemon with the cell's fault plan. *)
 
 val cell_seed : t -> cell -> int
 (** The cell's RNG seed: campaign seed mixed with the cell hash. A
     function of content only — not of position, shard or execution
     order — so resumed and uninterrupted runs of the same campaign
     produce identical per-cell results. *)
+
+val query : t -> cell -> Stabexp.Query.t
+(** The cell as an analysis request: its instance, class and budgets,
+    seeded with {!cell_seed}, sampling under the class's randomized
+    daemon with the cell's fault plan. *)

@@ -13,8 +13,6 @@ type status = Done | Degraded | Timed_out | Quarantined
 val status_to_string : status -> string
 (** ["done" | "degraded" | "timed-out" | "quarantined"]. *)
 
-val status_of_string : string -> status option
-
 type record = {
   hash : string;  (** {!Campaign.cell_hash} of the cell spec *)
   label : string;  (** {!Campaign.cell_label}, for humans reading the file *)

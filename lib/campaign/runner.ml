@@ -306,19 +306,12 @@ module Eval = Stabexp.Eval
 
 exception Drain_exit
 
-type finished = {
-  f_status : Checkpoint.status;
-  f_mode : string;
-  f_retries : int;
-  f_payload : Json.t;
-  f_error : string option;
-}
-
 (* Crash budget: a cell that crashes its worker twice is poison and is
    quarantined rather than allowed a third try. *)
 let crash_budget = 2
 
-let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
+(* The settled cell, as the checkpoint record it appends. *)
+let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) ~hash ~label =
   let query = Campaign.query campaign cell in
   let timeout_ms =
     match options.timeout_ms with
@@ -350,9 +343,16 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
   in
   let transients = ref 0 in
   let crashes = ref 0 in
+  (* Demotions go to the log and to the flight recorder. *)
+  let demote fmt =
+    Printf.ksprintf
+      (fun m ->
+        Obs.infof "%s" m;
+        Stabobs.Flight.note m)
+      ("campaign: " ^^ fmt)
+  in
   let finish status mode payload error =
-    { f_status = status; f_mode = mode; f_retries = !retries; f_payload = payload;
-      f_error = error }
+    { Checkpoint.hash; label; status; mode; retries = !retries; payload; error }
   in
   let rec attempt rung rest degraded =
     if draining () then raise Drain_exit;
@@ -387,29 +387,23 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     | `Timeout -> (
       match rest with
       | next :: rest' ->
-        Obs.infof "campaign: %s timed out on the %s rung; demoting"
-          (Campaign.cell_label cell) mode;
-        Stabobs.Flight.notef "campaign: %s timed out on the %s rung; demoting"
-          (Campaign.cell_label cell) mode;
+        demote "%s timed out on the %s rung; demoting" label mode;
         retry ();
         backoff ();
         attempt next rest' true
       | [] ->
         Stabobs.Flight.notef "campaign: %s timed out on the %s rung (no rung left)"
-          (Campaign.cell_label cell) mode;
+          label mode;
         finish Checkpoint.Timed_out mode Json.Null
           (Some (Printf.sprintf "timed out on the %s rung (no rung left)" mode)))
     | `Demote reason -> (
       match rest with
       | next :: rest' ->
-        Obs.infof "campaign: %s degrades below the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
-        Stabobs.Flight.notef "campaign: %s degrades below the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
+        demote "%s degrades below the %s rung (%s)" label mode reason;
         attempt next rest' true
       | [] ->
         Stabobs.Flight.notef "campaign: quarantining %s on the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
+          label mode reason;
         finish Checkpoint.Quarantined mode Json.Null (Some reason))
     | `Transient msg ->
       if !transients < campaign.Campaign.retries then begin
@@ -425,7 +419,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     | `Crash msg ->
       incr crashes;
       Stabobs.Flight.notef "campaign: %s crashed on the %s rung (%d/%d): %s"
-        (Campaign.cell_label cell) mode !crashes crash_budget msg;
+        label mode !crashes crash_budget msg;
       if !crashes >= crash_budget then
         finish Checkpoint.Quarantined mode Json.Null (Some msg)
       else begin
@@ -541,31 +535,19 @@ let run ?options campaign =
                 ]
               @@ fun () ->
               Obs.span "campaign.cell" ~args:[ ("label", Json.String label) ]
-                (fun () -> attempt_cell campaign options cell)
+                (fun () -> attempt_cell campaign options cell ~hash ~label)
             with
             | exception Drain_exit -> ()
-            | f ->
+            | r ->
               let duration_ns = Obs.now_ns () - t0 in
               Stabobs.Dist.record_int d_cell_duration duration_ns;
-              Obs.Counter.incr (counter_of_status f.f_status);
-              Atomic.incr (live_counter live f.f_status);
+              Obs.Counter.incr (counter_of_status r.Checkpoint.status);
+              Atomic.incr (live_counter live r.Checkpoint.status);
               Atomic.incr live.v_executed;
               ignore (Atomic.fetch_and_add live.v_executed_ns duration_ns);
               settle ();
-              let outcome =
-                {
-                  cell;
-                  hash;
-                  status = f.f_status;
-                  mode = f.f_mode;
-                  retries = f.f_retries;
-                  payload = f.f_payload;
-                  error = f.f_error;
-                  duration_ns;
-                  from_checkpoint = false;
-                }
-              in
-              results.(i) <- Some outcome;
+              results.(i) <-
+                Some { (outcome_of_record cell r) with duration_ns; from_checkpoint = false };
               (* Forensics before bookkeeping: a quarantined or
                  timed-out cell gets its own dump while the rings
                  still hold its final events, and the rolling dump is
@@ -575,12 +557,12 @@ let run ?options campaign =
                  artifact. *)
               Option.iter
                 (fun base ->
-                  (match f.f_status with
+                  (match r.Checkpoint.status with
                   | Checkpoint.Quarantined | Checkpoint.Timed_out ->
                     let reason =
                       Printf.sprintf "cell %s: %s%s" label
-                        (Checkpoint.status_to_string f.f_status)
-                        (match f.f_error with
+                        (Checkpoint.status_to_string r.Checkpoint.status)
+                        (match r.Checkpoint.error with
                         | None -> ""
                         | Some e -> ": " ^ e)
                     in
@@ -590,16 +572,7 @@ let run ?options campaign =
                 options.flight;
               Option.iter
                 (fun sink ->
-                  append_with_retry options sink
-                    {
-                      Checkpoint.hash;
-                      label;
-                      status = f.f_status;
-                      mode = f.f_mode;
-                      retries = f.f_retries;
-                      payload = f.f_payload;
-                      error = f.f_error;
-                    };
+                  append_with_retry options sink r;
                   let k = Atomic.fetch_and_add appended 1 + 1 in
                   match options.stop_after with
                   | Some limit when k >= limit -> request_drain ()

@@ -1,9 +1,10 @@
 type sched_class = Central | Distributed | Synchronous
 
-let pp_sched_class fmt = function
-  | Central -> Format.pp_print_string fmt "central"
-  | Distributed -> Format.pp_print_string fmt "distributed"
-  | Synchronous -> Format.pp_print_string fmt "synchronous"
+let sched_classes =
+  [ ("central", Central); ("distributed", Distributed); ("synchronous", Synchronous) ]
+
+let sched_class_name cls = fst (List.find (fun (_, c) -> c = cls) sched_classes)
+let pp_sched_class fmt cls = Format.pp_print_string fmt (sched_class_name cls)
 
 (* A space is either the full configuration space or a symmetry
    quotient of one: configs of a quotient are orbit representatives and

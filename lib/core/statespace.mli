@@ -10,6 +10,11 @@
 
 type sched_class = Central | Distributed | Synchronous
 
+val sched_classes : (string * sched_class) list
+(** Every class under its name: ["central"], ["distributed"],
+    ["synchronous"]. *)
+
+val sched_class_name : sched_class -> string
 val pp_sched_class : Format.formatter -> sched_class -> unit
 
 type 'a t

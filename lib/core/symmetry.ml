@@ -36,8 +36,6 @@ let paranoid_enabled () = !paranoid
 
 let group_order t = Array.length t.elements
 let is_trivial t = group_order t <= 1
-let element_perm t i = Array.copy t.elements.(i).perm
-
 let make_contrib enc tau perm =
   Array.mapi
     (fun p row -> Array.map (fun d -> d * Encoding.weight enc perm.(p)) row)

@@ -40,10 +40,6 @@ val group_order : 'a t -> int
 val is_trivial : 'a t -> bool
 (** [group_order t <= 1] — quotienting would be the identity map. *)
 
-val element_perm : 'a t -> int -> int array
-(** The node permutation of group element [i]; element 0 is the
-    identity. Fresh array. *)
-
 val apply : 'a t -> int -> int -> int
 (** [apply t i code] is the image of [code] under group element [i]. *)
 

@@ -58,77 +58,7 @@ let ladder (q : Query.t) =
   | Query.Reach _ -> [ Onthefly; Montecarlo ]
   | Query.Montecarlo -> [ Montecarlo ]
 
-module Result = struct
-  module Json = Stabobs.Json
-
-  type onthefly = {
-    verdict : Onthefly.verdict;
-    stats : Onthefly.stats;
-    counterexample : string option;
-  }
-
-  type convergence =
-    | Prob1 of { stats : Markov.hitting_stats; solve : Markov.solve_outcome option }
-    | Stuck of { code : int; config : string }
-
-  type body =
-    | Check of { configs : int; orbits : (int * int) option; verdict : Checker.verdict }
-    | Markov of { states : int; configs : int; lumped : bool; convergence : convergence }
-    | Reach of { inits : int; possible : onthefly; certain : onthefly }
-    | Montecarlo of { scheduler : string; runs : int; estimate : Montecarlo.result }
-
-  type t = { label : string; describe : string; body : body }
-
-  let onthefly_json o =
-    Json.String
-      (match o.verdict with
-      | Onthefly.Converges -> "holds"
-      | Onthefly.Counterexample c -> Printf.sprintf "fails@%d" c
-      | Onthefly.Unknown -> "unknown")
-
-  let mean_json = function
-    | Some s -> Json.Float s.Stabstats.Stats.mean
-    | None -> Json.Null
-
-  let to_json r =
-    match r.body with
-    | Check { configs; verdict = v; _ } ->
-      Json.Obj
-        [
-          ("configs", Json.Int configs);
-          ("weak", Json.Bool (Checker.weak_stabilizing v));
-          ("self", Json.Bool (Checker.self_stabilizing v));
-          ("self_weakly_fair", Json.Bool (Checker.self_stabilizing_weakly_fair v));
-          ("self_strongly_fair", Json.Bool (Checker.self_stabilizing_strongly_fair v));
-        ]
-    | Markov { convergence = Stuck { code; _ }; _ } ->
-      Json.Obj [ ("prob1", Json.Bool false); ("unreachable_from", Json.Int code) ]
-    | Markov { states; convergence = Prob1 { stats; _ }; _ } ->
-      Json.Obj
-        [
-          ("prob1", Json.Bool true);
-          ("configs", Json.Int states);
-          ("mean", Json.Float stats.Markov.mean);
-          ("max", Json.Float stats.Markov.max);
-        ]
-    | Reach { inits; possible; certain } ->
-      Json.Obj
-        [
-          ("inits", Json.Int inits);
-          ("possible", onthefly_json possible);
-          ("certain", onthefly_json certain);
-          ("explored", Json.Int possible.stats.Onthefly.explored);
-        ]
-    | Montecarlo { runs; estimate = e; _ } ->
-      Json.Obj
-        [
-          ("runs", Json.Int runs);
-          ("converged", Json.Int (Array.length e.Montecarlo.times));
-          ("timeouts", Json.Int e.Montecarlo.timeouts);
-          ("mean_steps", mean_json e.Montecarlo.summary);
-          ("mean_rounds", mean_json e.Montecarlo.rounds_summary);
-        ]
-end
+module Result = Query.Result
 
 let run (q : Query.t) rung =
   let (Registry.Entry e) = resolve q in

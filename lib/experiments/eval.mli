@@ -1,24 +1,21 @@
-(** The evaluator: answers one {!Query.t} on one rung of the
-    degradation ladder.
+(** The evaluator: answers a {!Query.t} on one rung of the degradation
+    ladder.
 
     Exhaustive analysis is exact but bounded by the size of the
     configuration space; on-the-fly exploration answers relative to
-    sampled initial configurations but scales much further; sampling
-    always applies. {!ladder} orders these rungs for a query and
-    {!run} runs one. The CLI subcommands run a single rung and report
-    its failure; the campaign runner walks the ladder, demoting a cell
-    when a rung cannot answer or runs out of time.
-
-    Every answer is a pure function of the query: initial
-    configurations and sampled runs draw from a generator seeded with
-    [seed]. *)
+    random initial configurations and scales further; sampling always
+    applies. The CLI subcommands run one rung and report its failure;
+    the campaign runner walks {!ladder}, demoting a cell when a rung
+    cannot answer or runs out of time. An answer is a pure function of
+    the query: initial configurations and sampled runs draw from a
+    generator seeded with [seed]. *)
 
 val resolve : Query.t -> Registry.entry
 (** The query's protocol instance: a {!Registry} entry or a loaded
-    [.gcp] program on [topology], transformed if asked, and
-    crash-faulted on [crash] (the label then says so). Raises
-    [Invalid_argument] or [Failure] on an unknown protocol, a bad
-    topology or an unloadable program. *)
+    [.gcp] program on [topology], transformed if asked, crash-faulted
+    on [crash] (the label then says so). Raises [Invalid_argument] or
+    [Failure] on an unknown protocol, a bad topology or an unloadable
+    program. *)
 
 type rung = Exact | Onthefly | Montecarlo
 
@@ -27,65 +24,17 @@ val rung_label : rung -> string
 
 val ladder : Query.t -> rung list
 (** The rungs that can answer the query, strongest first: [Check]
-    walks exact, on-the-fly, Monte-Carlo; [Markov] skips the
-    on-the-fly rung (hitting times need the whole chain); [Reach]
-    starts on the fly; [Montecarlo] only samples. *)
+    walks all three; [Markov] skips the on-the-fly rung (hitting times
+    need the whole chain); [Reach] starts on the fly; [Montecarlo]
+    only samples. *)
 
-module Result : sig
-  type onthefly = {
-    verdict : Stabcore.Onthefly.verdict;
-    stats : Stabcore.Onthefly.stats;
-    counterexample : string option;  (** the witness configuration, rendered *)
-  }
-
-  type convergence =
-    | Prob1 of {
-        stats : Stabcore.Markov.hitting_stats;
-        solve : Stabcore.Markov.solve_outcome option;
-            (** the sparse solver's outcome; [None] for a dense solve *)
-      }
-    | Stuck of { code : int; config : string }
-        (** a configuration (code, rendered) from which [L] is
-            unreachable *)
-
-  type body =
-    | Check of {
-        configs : int;  (** [|C|] of the full space *)
-        orbits : (int * int) option;
-            (** group order and orbit count when the verdict was
-                computed on a nontrivial symmetry quotient *)
-        verdict : Stabcore.Checker.verdict;
-      }
-    | Markov of {
-        states : int;  (** chain states: orbits on a quotient *)
-        configs : int;  (** [|C|] of the full space *)
-        lumped : bool;
-        convergence : convergence;
-      }
-    | Reach of { inits : int; possible : onthefly; certain : onthefly }
-    | Montecarlo of {
-        scheduler : string;
-        runs : int;
-        estimate : Stabcore.Montecarlo.result;
-      }
-
-  type t = { label : string; describe : string; body : body }
-
-  val to_json : t -> Stabobs.Json.t
-  (** The body as a campaign payload (label and description omitted):
-      [configs] and the four verdicts for [Check]; [prob1] with
-      [unreachable_from] or [configs]/[mean]/[max] for [Markov];
-      [inits]/[possible]/[certain]/[explored] for [Reach];
-      [runs]/[converged]/[timeouts]/[mean_steps]/[mean_rounds] for
-      [Montecarlo]. *)
-end
+module Result = Query.Result
 
 val run : Query.t -> rung -> (Result.t, string) result
-(** Answer the query on one rung. [Error reason] means the rung cannot
-    answer and the next one down should: the space exceeds
-    [max_configs] (exact) or cannot be encoded (exact, on-the-fly), or
-    a sparse Markov solve ran out of sweeps without
-    [allow_nonconverged]. The on-the-fly rung of a non-[Reach] query
-    explores from 5 initial configurations within [max_configs]
-    states. Resolution failures raise as in {!resolve}; the exact rung
-    raises [Invalid_argument] for [Reach] and [Montecarlo] queries. *)
+(** Answer the query on one rung, or say why the rung cannot: the
+    space exceeds [max_configs] (exact) or its encoding overflows
+    (exact, on-the-fly), or a sparse Markov solve ran out of sweeps
+    without [allow_nonconverged]. A non-[Reach] query explores on the
+    fly from 5 initial configurations within [max_configs] states.
+    Raises as {!resolve} does, and [Invalid_argument] for the exact
+    rung of a [Reach] or [Montecarlo] query. *)

@@ -13,25 +13,25 @@ type entry =
       -> entry
 
 let topology_of_string s =
+  let bad why = invalid_arg (Printf.sprintf "Registry: bad topology %S (%s)" s why) in
+  let shapes = "expected ring:N, chain:N, star:N, random:N:SEED or N" in
+  let int x = match int_of_string_opt x with Some i -> i | None -> bad shapes in
+  (* The graph constructors reject degenerate sizes; their message
+     gains the topology that asked for it. *)
+  let graph make size = try make size with Invalid_argument why -> bad why in
   match String.split_on_char ':' s with
-  | [ "chain"; n ] -> Stabgraph.Graph.chain (int_of_string n)
-  | [ "star"; n ] -> Stabgraph.Graph.star (int_of_string n)
-  | [ "ring"; n ] -> Stabgraph.Graph.ring (int_of_string n)
+  | [ "chain"; n ] -> graph Stabgraph.Graph.chain (int n)
+  | [ "star"; n ] -> graph Stabgraph.Graph.star (int n)
+  | [ "ring"; n ] | [ n ] -> graph Stabgraph.Graph.ring (int n)
   | [ "random"; n; seed ] ->
-    Stabgraph.Graph.random_tree
-      (Stabrng.Rng.create (int_of_string seed))
-      (int_of_string n)
-  | [ n ] -> (
-    match int_of_string_opt n with
-    | Some n -> Stabgraph.Graph.ring n
-    | None -> invalid_arg ("Registry: unknown topology " ^ s))
-  | _ -> invalid_arg ("Registry: unknown topology " ^ s)
+    graph (Stabgraph.Graph.random_tree (Stabrng.Rng.create (int seed))) (int n)
+  | _ -> bad shapes
 
-let ring_size topology =
+let ring_of topology =
   let g = topology_of_string topology in
   if not (Stabgraph.Graph.is_ring g) then
     invalid_arg "Registry: this protocol needs a ring topology (e.g. ring:6)";
-  Stabgraph.Graph.size g
+  g
 
 let tree_of topology =
   let g = topology_of_string topology in
@@ -49,145 +49,72 @@ let transform (Entry e) =
       describe = e.describe ^ " [transformed per Section 4]";
     }
 
-let base ~name ~topology =
-  match name with
-  | "token-ring" ->
-    let n = ring_size topology in
-    Entry
-      {
-        label = Printf.sprintf "token-ring(n=%d)" n;
-        protocol = Stabalgo.Token_ring.make ~n;
-        spec = Stabalgo.Token_ring.spec ~n;
-        relabel = None;
-        describe = "Algorithm 1: weak-stabilizing token circulation on anonymous rings";
-      }
-  | "leader-tree" ->
-    let g = tree_of topology in
-    Entry
-      {
-        label = Printf.sprintf "leader-tree(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Leader_tree.make g;
-        spec = Stabalgo.Leader_tree.spec g;
-        relabel = Some (Stabalgo.Leader_tree.relabel g);
-        describe = "Algorithm 2: weak-stabilizing leader election on anonymous trees";
-      }
-  | "two-bool" ->
-    Entry
-      {
-        label = "two-bool";
-        protocol = Stabalgo.Two_bool.make ();
-        spec = Stabalgo.Two_bool.spec;
-        relabel = None;
-        describe = "Algorithm 3: two-process rendezvous requiring synchrony";
-      }
-  | "centers" ->
-    let g = tree_of topology in
-    Entry
-      {
-        label = Printf.sprintf "centers(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Centers.make g;
-        spec = Stabalgo.Centers.spec g;
-        relabel = None;
-        describe = "BGKP self-stabilizing tree center finding";
-      }
-  | "center-leader" ->
-    let g = tree_of topology in
-    Entry
-      {
-        label = Printf.sprintf "center-leader(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Center_leader.make g;
-        spec = Stabalgo.Center_leader.spec g;
-        relabel = None;
-        describe = "log N-bit weak-stabilizing leader election via tree centers";
-      }
-  | "dijkstra" ->
-    let n = ring_size topology in
-    Entry
-      {
-        label = Printf.sprintf "dijkstra(n=%d)" n;
-        protocol = Stabalgo.Dijkstra_kstate.make ~n ();
-        spec = Stabalgo.Dijkstra_kstate.spec ~n;
-        relabel = None;
-        describe = "Dijkstra's K-state self-stabilizing rooted token ring";
-      }
-  | "herman" ->
-    let n = ring_size topology in
-    Entry
-      {
-        label = Printf.sprintf "herman(n=%d)" n;
-        protocol = Stabalgo.Herman.make ~n;
-        spec = Stabalgo.Herman.spec ~n;
-        relabel = None;
-        describe = "Herman's probabilistic synchronous token ring";
-      }
-  | "dijkstra-3state" ->
-    let n = ring_size topology in
-    Entry
-      {
-        label = Printf.sprintf "dijkstra-3state(n=%d)" n;
-        protocol = Stabalgo.Dijkstra_three.make ~n;
-        spec = Stabalgo.Dijkstra_three.spec ~n;
-        relabel = None;
-        describe = "Dijkstra's three-state mutual exclusion (two distinguished machines)";
-      }
-  | "coloring" ->
-    let g = topology_of_string topology in
-    Entry
-      {
-        label = Printf.sprintf "coloring(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Coloring.make g;
-        spec = Stabalgo.Coloring.spec g;
-        relabel = None;
-        describe = "greedy (Delta+1)-coloring: self-stabilizing centrally, weak distributed";
-      }
-  | "matching" ->
-    let g = topology_of_string topology in
-    Entry
-      {
-        label = Printf.sprintf "matching(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Matching.make g;
-        spec = Stabalgo.Matching.spec g;
-        relabel = None;
-        describe = "Hsu-Huang maximal matching (determinized)";
-      }
-  | "bfs-tree" ->
-    let g = topology_of_string topology in
-    Entry
-      {
-        label = Printf.sprintf "bfs-tree(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Bfs_tree.make g;
-        spec = Stabalgo.Bfs_tree.spec g;
-        relabel = None;
-        describe = "rooted self-stabilizing BFS spanning tree";
-      }
-  | "mis" ->
-    let g = topology_of_string topology in
-    Entry
-      {
-        label = Printf.sprintf "mis(n=%d)" (Stabgraph.Graph.size g);
-        protocol = Stabalgo.Mis.make g;
-        spec = Stabalgo.Mis.spec g;
-        relabel = None;
-        describe = "maximal independent set: self-stabilizing centrally, weak distributed";
-      }
-  | other -> invalid_arg ("Registry: unknown protocol " ^ other)
+(* A protocol built on a graph of the given [shape], labelled
+   [name(n=N)]; [relabel] receives the graph. *)
+let on ?relabel shape name describe make =
+  ( name,
+    fun topology ->
+      let g = shape topology in
+      let protocol, spec = make g in
+      Entry
+        {
+          label = Printf.sprintf "%s(n=%d)" name (Stabgraph.Graph.size g);
+          protocol;
+          spec;
+          relabel = Option.map (fun r -> r g) relabel;
+          describe;
+        } )
+
+(* Ring protocols are parameterized by the ring size alone. *)
+let on_ring name describe make =
+  on ring_of name describe (fun g -> make (Stabgraph.Graph.size g))
+
+let protocols =
+  let open Stabalgo in
+  [
+    on_ring "token-ring" "Algorithm 1: weak-stabilizing token circulation on anonymous rings"
+      (fun n -> (Token_ring.make ~n, Token_ring.spec ~n));
+    on tree_of "leader-tree" ~relabel:Leader_tree.relabel
+      "Algorithm 2: weak-stabilizing leader election on anonymous trees" (fun g ->
+        (Leader_tree.make g, Leader_tree.spec g));
+    ( "two-bool",
+      fun _ ->
+        Entry
+          {
+            label = "two-bool";
+            protocol = Two_bool.make ();
+            spec = Two_bool.spec;
+            relabel = None;
+            describe = "Algorithm 3: two-process rendezvous requiring synchrony";
+          } );
+    on tree_of "centers" "BGKP self-stabilizing tree center finding" (fun g ->
+        (Centers.make g, Centers.spec g));
+    on tree_of "center-leader" "log N-bit weak-stabilizing leader election via tree centers"
+      (fun g -> (Center_leader.make g, Center_leader.spec g));
+    on_ring "dijkstra" "Dijkstra's K-state self-stabilizing rooted token ring" (fun n ->
+        (Dijkstra_kstate.make ~n (), Dijkstra_kstate.spec ~n));
+    on_ring "herman" "Herman's probabilistic synchronous token ring" (fun n ->
+        (Herman.make ~n, Herman.spec ~n));
+    on_ring "dijkstra-3state"
+      "Dijkstra's three-state mutual exclusion (two distinguished machines)" (fun n ->
+        (Dijkstra_three.make ~n, Dijkstra_three.spec ~n));
+    on topology_of_string "coloring"
+      "greedy (Delta+1)-coloring: self-stabilizing centrally, weak distributed" (fun g ->
+        (Coloring.make g, Coloring.spec g));
+    on topology_of_string "matching" "Hsu-Huang maximal matching (determinized)" (fun g ->
+        (Matching.make g, Matching.spec g));
+    on topology_of_string "bfs-tree" "rooted self-stabilizing BFS spanning tree" (fun g ->
+        (Bfs_tree.make g, Bfs_tree.spec g));
+    on topology_of_string "mis"
+      "maximal independent set: self-stabilizing centrally, weak distributed" (fun g ->
+        (Mis.make g, Mis.spec g));
+  ]
 
 let find ~name ~topology ?(transformed = false) () =
-  let entry = base ~name ~topology in
-  if transformed then transform entry else entry
+  match List.assoc_opt name protocols with
+  | None -> invalid_arg ("Registry: unknown protocol " ^ name)
+  | Some build ->
+    let entry = build topology in
+    if transformed then transform entry else entry
 
-let names =
-  [
-    "bfs-tree";
-    "center-leader";
-    "centers";
-    "coloring";
-    "dijkstra";
-    "dijkstra-3state";
-    "herman";
-    "leader-tree";
-    "matching";
-    "mis";
-    "token-ring";
-    "two-bool";
-  ]
+let names = List.sort compare (List.map fst protocols)

@@ -20,7 +20,9 @@ type entry =
 
 val topology_of_string : string -> Stabgraph.Graph.t
 (** Parses ["chain:4"], ["star:5"], ["ring:6"], ["random:8:seed"]
-    (random tree). Raises [Invalid_argument] on malformed input. *)
+    (random tree); a bare integer [N] means ["ring:N"]. Raises
+    [Invalid_argument] naming the topology on malformed input or a
+    degenerate size. *)
 
 val find : name:string -> topology:string -> ?transformed:bool -> unit -> entry
 (** [find ~name ~topology ()] builds the instance. Known names:

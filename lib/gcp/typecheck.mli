@@ -4,12 +4,7 @@
     the right type (each at most once per action), and domain bounds
     only mention constants and [degree]. *)
 
-type ty = Tint | Tbool
-
 exception Error of string * Ast.position
 
 val check : Ast.program -> unit
 (** Raises [Error] on the first problem found. *)
-
-val var_type : Ast.program -> string -> ty
-(** Type of a declared variable; raises [Not_found] otherwise. *)

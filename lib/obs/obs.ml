@@ -200,7 +200,6 @@ let logf level fmt =
 let errorf fmt = logf Error fmt
 let warnf fmt = logf Warn fmt
 let infof fmt = logf Info fmt
-let debugf fmt = logf Debug fmt
 
 (* --- spans --- *)
 
@@ -210,7 +209,6 @@ let debugf fmt = logf Debug fmt
    stays allocation-light. *)
 let gc_mode = Atomic.make false
 let set_gc_sampling b = Atomic.set gc_mode b
-let gc_sampling () = Atomic.get gc_mode
 
 let word_bytes = Sys.word_size / 8
 

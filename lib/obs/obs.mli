@@ -41,7 +41,6 @@ val logf : level -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val errorf : ('a, Format.formatter, unit, unit) format4 -> 'a
 val warnf : ('a, Format.formatter, unit, unit) format4 -> 'a
 val infof : ('a, Format.formatter, unit, unit) format4 -> 'a
-val debugf : ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** {1 Counters} *)
 
@@ -157,8 +156,6 @@ val set_gc_sampling : bool -> unit
     end event, bumping {!gc_minor_words} / {!gc_major_collections}.
     Costs two GC stat reads per span on the lit path only; the dark
     path (no sink) is unchanged — no stat read, no allocation. *)
-
-val gc_sampling : unit -> bool
 
 (** {1 Events and sinks} *)
 

@@ -45,6 +45,12 @@ let quiet_options () =
 
 (* --- spec parsing --- *)
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+
 let test_matrix_cross_product () =
   let json =
     {|{"name":"m","matrix":{"protocol":["token-ring"],
@@ -87,6 +93,26 @@ let test_parse_rejects_empty () =
     match Campaign.of_json j with
     | Ok _ -> Alcotest.fail "empty campaign accepted"
     | Error _ -> ())
+
+(* A bad instance is a load-time error naming the cell, not a worker
+   crash retried with backoff and quarantined at run time. *)
+let test_parse_rejects_bad_instance () =
+  List.iter
+    (fun (json, needle) ->
+      match Json.of_string json with
+      | Error m -> Alcotest.fail m
+      | Ok j -> (
+        match Campaign.of_json j with
+        | Ok _ -> Alcotest.failf "accepted %s" json
+        | Error m ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %S" m needle) true
+            (contains m needle)))
+    [
+      ({|{"cells":[{"protocol":"nosuch"}]}|}, "nosuch(ring:5)/central/check");
+      ( {|{"matrix":{"topology":["ring:4","ring:x"],"analysis":["markov"]}}|},
+        "token-ring(ring:x)/central/markov" );
+      ({|{"cells":[{"topology":"ring:x"}]}|}, "bad topology \"ring:x\"");
+    ]
 
 let test_cell_hash_is_content_addressed () =
   let c = green_campaign () in
@@ -321,11 +347,6 @@ let parse_json what s =
   | Ok j -> j
   | Error e -> Alcotest.failf "%s is not JSON: %s" what e
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let tmp_socket () =
   (* temp_file creates a regular file; the server wants to create the
      socket itself, so reserve the name and remove the placeholder. *)
@@ -463,6 +484,7 @@ let suite =
     Alcotest.test_case "matrix cross product" `Quick test_matrix_cross_product;
     Alcotest.test_case "faulty check cell rejected" `Quick test_parse_rejects_faulty_check_cell;
     Alcotest.test_case "empty campaign rejected" `Quick test_parse_rejects_empty;
+    Alcotest.test_case "bad instance rejected at load" `Quick test_parse_rejects_bad_instance;
     Alcotest.test_case "cell hash content-addressed" `Quick test_cell_hash_is_content_addressed;
     Alcotest.test_case "checkpoint json roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint tolerates torn tail" `Quick test_checkpoint_parse_tolerates_torn_tail;

@@ -37,6 +37,18 @@ let golden name args ~code ~stdout ~stderr =
       Alcotest.(check string) "stderr" stderr err;
       Alcotest.(check int) "exit code" code c)
 
+(* A zero count or budget is a usage error at parse time: nothing on
+   stdout, cmdliner's usage exit code, the option named on stderr. *)
+let rejected name args ~option =
+  Alcotest.test_case name `Quick (fun () ->
+      let c, out, err = run args in
+      Alcotest.(check string) "stdout" "" out;
+      Alcotest.(check int) "exit code" 124 c;
+      let first_line = List.hd (String.split_on_char '\n' err) in
+      Alcotest.(check string)
+        "stderr" (Printf.sprintf "stabsim: option '%s': expected a positive integer, got \"0\"" option)
+        first_line)
+
 let suite =
   [
     golden "check ring:5" [ "check"; "-p"; "token-ring"; "-t"; "ring:5" ] ~code:0
@@ -174,4 +186,14 @@ availability under recurrent faults (horizon 200 steps):
       ~stdout:{||}
       ~stderr:{|stabsim: Encoding.make: state space too large
 |};
+    golden "check bad topology" [ "check"; "-t"; "ring:x" ] ~code:124
+      ~stdout:{||}
+      ~stderr:{|stabsim: Registry: bad topology "ring:x" (expected ring:N, chain:N, star:N, random:N:SEED or N)
+|};
+    rejected "reach zero inits" [ "reach"; "--inits"; "0" ] ~option:"--inits";
+    rejected "faults zero runs" [ "faults"; "--runs"; "0" ] ~option:"--runs";
+    rejected "faults zero gap" [ "faults"; "--gap"; "0" ] ~option:"--gap";
+    rejected "faults zero horizon" [ "faults"; "--horizon"; "0" ] ~option:"--horizon";
+    rejected "montecarlo zero max-steps" [ "montecarlo"; "--max-steps"; "0" ]
+      ~option:"--max-steps";
   ]

@@ -57,8 +57,24 @@ let test_registry_topologies () =
     (Stabgraph.Graph.is_ring (Stabexp.Registry.topology_of_string "6"));
   Alcotest.(check bool) "random tree" true
     (Stabgraph.Graph.is_tree (Stabexp.Registry.topology_of_string "random:8:3"));
-  Alcotest.check_raises "garbage" (Invalid_argument "Registry: unknown topology bogus")
+  Alcotest.check_raises "garbage"
+    (Invalid_argument
+       "Registry: bad topology \"bogus\" (expected ring:N, chain:N, star:N, random:N:SEED or N)")
     (fun () -> ignore (Stabexp.Registry.topology_of_string "bogus"))
+
+(* Every malformed topology, whatever part of it is wrong, is named in
+   the error — never a bare [int_of_string] failure. *)
+let test_registry_bad_topology_named () =
+  List.iter
+    (fun topology ->
+      match Stabexp.Registry.topology_of_string topology with
+      | _ -> Alcotest.failf "%s accepted" topology
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s named in %S" topology msg)
+          true
+          (contains ~needle:(Printf.sprintf "%S" topology) msg))
+    [ "ring:x"; "chain:"; "star:1"; "random:4:z"; "random:0:1"; "grid:3" ]
 
 let test_registry_find () =
   List.iter
@@ -187,6 +203,7 @@ let suite =
     Alcotest.test_case "report cells" `Quick test_report_cells;
     Alcotest.test_case "report markdown" `Quick test_report_markdown;
     Alcotest.test_case "registry topologies" `Quick test_registry_topologies;
+    Alcotest.test_case "registry bad topology named" `Quick test_registry_bad_topology_named;
     Alcotest.test_case "registry find" `Quick test_registry_find;
     Alcotest.test_case "registry transformed" `Quick test_registry_transformed;
     Alcotest.test_case "registry tree guard" `Quick test_registry_tree_protocol_rejects_ring;
