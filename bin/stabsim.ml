@@ -442,12 +442,10 @@ let print_answer ?(allow_nonconverged = false) (q : Query.t) (r : Eval.Result.t)
   | Eval.Result.Reach { inits; possible; certain } ->
     let show what (o : Eval.Result.onthefly) =
       Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
-        (match (o.verdict, o.counterexample) with
-        | C.Onthefly.Converges, _ -> "HOLDS on the reachable sub-system"
-        | C.Onthefly.Counterexample code, config ->
-          "FAILS; counterexample "
-          ^ Option.value config ~default:(Printf.sprintf "code %d" code)
-        | C.Onthefly.Unknown, _ -> "UNKNOWN (state budget exhausted)")
+        (match o.verdict with
+        | Eval.Result.Holds -> "HOLDS on the reachable sub-system"
+        | Eval.Result.Fails { config; _ } -> "FAILS; counterexample " ^ config
+        | Eval.Result.Unknown -> "UNKNOWN (state budget exhausted)")
         o.stats.C.Onthefly.explored o.stats.C.Onthefly.edges
         (if o.stats.C.Onthefly.complete then "" else "; incomplete")
     in

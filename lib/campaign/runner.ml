@@ -343,7 +343,6 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) ~hash ~l
   in
   let transients = ref 0 in
   let crashes = ref 0 in
-  (* Demotions go to the log and to the flight recorder. *)
   let demote fmt =
     Printf.ksprintf
       (fun m ->

@@ -55,7 +55,7 @@ let ladder (q : Query.t) =
   match q.analysis with
   | Query.Check -> [ Exact; Onthefly; Montecarlo ]
   | Query.Markov _ -> [ Exact; Montecarlo ]
-  | Query.Reach _ -> [ Onthefly; Montecarlo ]
+  | Query.Reach _ -> [ Onthefly ]
   | Query.Montecarlo -> [ Montecarlo ]
 
 module Result = Query.Result
@@ -122,12 +122,13 @@ let run (q : Query.t) rung =
       let rng = Stabrng.Rng.create q.seed in
       let configs = List.init inits (fun _ -> Protocol.random_config rng e.protocol) in
       let answer (verdict, stats) =
-        let counterexample =
+        let verdict =
           match verdict with
-          | Onthefly.Counterexample code -> Some (render space code)
-          | Onthefly.Converges | Onthefly.Unknown -> None
+          | Onthefly.Converges -> Result.Holds
+          | Onthefly.Counterexample code -> Result.Fails { code; config = render space code }
+          | Onthefly.Unknown -> Result.Unknown
         in
-        { Result.verdict; stats; counterexample }
+        { Result.verdict; stats }
       in
       let possible =
         answer

@@ -25,8 +25,8 @@ val rung_label : rung -> string
 val ladder : Query.t -> rung list
 (** The rungs that can answer the query, strongest first: [Check]
     walks all three; [Markov] skips the on-the-fly rung (hitting times
-    need the whole chain); [Reach] starts on the fly; [Montecarlo]
-    only samples. *)
+    need the whole chain); [Reach] only explores on the fly and
+    [Montecarlo] only samples. *)
 
 module Result = Query.Result
 

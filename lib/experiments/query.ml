@@ -77,14 +77,13 @@ let default =
     with counterexample configurations already rendered. *)
 module Result = struct
   module Json = Stabobs.Json
-
   open Stabcore
 
-  type onthefly = {
-    verdict : Onthefly.verdict;
-    stats : Onthefly.stats;
-    counterexample : string option;  (** the witness configuration, rendered *)
-  }
+  (** An on-the-fly verdict; a failure carries its witness configuration
+      (code, rendered). *)
+  type verdict = Holds | Fails of { code : int; config : string } | Unknown
+
+  type onthefly = { verdict : verdict; stats : Onthefly.stats }
 
   type convergence =
     | Prob1 of {
@@ -115,9 +114,9 @@ module Result = struct
   let onthefly_json o =
     Json.String
       (match o.verdict with
-      | Onthefly.Converges -> "holds"
-      | Onthefly.Counterexample c -> Printf.sprintf "fails@%d" c
-      | Onthefly.Unknown -> "unknown")
+      | Holds -> "holds"
+      | Fails { code; _ } -> Printf.sprintf "fails@%d" code
+      | Unknown -> "unknown")
 
   let mean_json = function
     | Some s -> Json.Float s.Stabstats.Stats.mean

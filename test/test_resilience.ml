@@ -161,7 +161,7 @@ let test_eval_onthefly_rung () =
         Alcotest.(check bool) "exploration bounded" true (o.stats.Onthefly.explored <= 20);
         Alcotest.(check bool)
           "unknown exactly when the budget stopped exploration" (not o.stats.Onthefly.complete)
-          (o.verdict = Onthefly.Unknown))
+          (o.verdict = Stabexp.Eval.Result.Unknown))
       [ r.possible; r.certain ]
   | Ok _ -> Alcotest.fail "expected an on-the-fly answer"
   | Error reason -> Alcotest.failf "on-the-fly rung refused: %s" reason
@@ -182,6 +182,43 @@ let test_eval_montecarlo_rung () =
   | Ok _ -> Alcotest.fail "expected a sampled answer"
   | Error reason -> Alcotest.failf "sampling refused: %s" reason
 
+let test_eval_markov_sweep_budget () =
+  (* A sparse solve that runs out of sweeps demotes, unless the query
+     accepts the partial iterate. *)
+  let query allow_nonconverged =
+    {
+      Stabexp.Query.default with
+      topology = "ring:8";
+      quotient = true;
+      analysis =
+        Stabexp.Query.Markov
+          {
+            solver =
+              Some
+                (Markov.Sparse { kind = Markov.Gauss_seidel; tolerance = 1e-10; max_sweeps = 2 });
+            allow_nonconverged;
+          };
+    }
+  in
+  (match Stabexp.Eval.run (query false) Stabexp.Eval.Exact with
+  | Error reason ->
+    Alcotest.(check bool) "reason names the sweep budget" true
+      (String.starts_with ~prefix:"sparse solver hit its sweep budget" reason)
+  | Ok _ -> Alcotest.fail "exhausted sweep budget answered");
+  match Stabexp.Eval.run (query true) Stabexp.Eval.Exact with
+  | Ok
+      {
+        Stabexp.Eval.Result.body =
+          Stabexp.Eval.Result.Markov
+            { lumped; convergence = Stabexp.Eval.Result.Prob1 { solve; _ }; _ };
+        _;
+      } ->
+    Alcotest.(check bool) "lumped chain" true lumped;
+    Alcotest.(check bool) "partial iterate flagged" true
+      (match solve with Some (Markov.Max_sweeps _) -> true | _ -> false)
+  | Ok _ -> Alcotest.fail "expected a probability-1 answer"
+  | Error reason -> Alcotest.failf "partial iterate refused: %s" reason
+
 let suite =
   [
     Alcotest.test_case "token ring dual radius" `Quick test_token_ring_dual_radius;
@@ -196,4 +233,5 @@ let suite =
     Alcotest.test_case "budget exact" `Quick test_eval_exact_rung;
     Alcotest.test_case "budget onthefly" `Quick test_eval_onthefly_rung;
     Alcotest.test_case "budget montecarlo" `Quick test_eval_montecarlo_rung;
+    Alcotest.test_case "budget markov sweeps" `Quick test_eval_markov_sweep_budget;
   ]
