@@ -19,8 +19,8 @@
    the distributed and synchronous classes the LAST group of a
    configuration activates the full enabled set — the union of all its
    groups — and under the central class every group is an enabled
-   singleton. [Statespace.fold_transitions] establishes this by
-   enumerating activation subsets in ascending-bitmask order;
+   singleton. The expansion kernel ({!Statespace.kernel}) establishes
+   this by enumerating activation subsets in ascending-bitmask order;
    [groups_well_ordered] asserts it at packing time so a future
    reordering of the subset enumeration cannot silently corrupt the
    fairness checks. *)
@@ -34,7 +34,8 @@ type graph = {
   succ_off : int array; (* length ngroups+1 *)
   succ : int array; (* length nedges *)
   succ_w : float array; (* length nedges *)
-  active_sets : int list array;
+  set_mask : int array; (* interned set id -> process bitmask *)
+  active_sets : int list array; (* interned set id -> ascending processes *)
   mutable rev_off : int array option;
   mutable rev : int array option;
       (* CSR reverse adjacency, built on first demand and shared by
@@ -68,224 +69,128 @@ let record_expansion g =
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
     done
 
-(* Growable scratch buffers for the streaming expansion: the group and
-   edge counts are unknown until the whole space has been walked, so
-   the CSR arrays are accumulated with doubling and trimmed once. *)
-module Ibuf = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create hint = { data = Array.make (max hint 16) 0; len = 0 }
-
-  let push b x =
-    if b.len = Array.length b.data then begin
-      let d = Array.make (2 * b.len) 0 in
-      Array.blit b.data 0 d 0 b.len;
-      b.data <- d
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
-
-  let contents b = Array.sub b.data 0 b.len
-end
-
-module Fbuf = struct
-  type t = { mutable data : float array; mutable len : int }
-
-  let create hint = { data = Array.make (max hint 16) 0.0; len = 0 }
-
-  let push b x =
-    if b.len = Array.length b.data then begin
-      let d = Array.make (2 * b.len) 0.0 in
-      Array.blit b.data 0 d 0 b.len;
-      b.data <- d
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
-
-  let contents b = Array.sub b.data 0 b.len
-end
-
-(* Activated-subset interning. With few processes (the exhaustive
-   regime) subsets are identified by their process bitmask and a
-   direct-indexed table avoids hashing entirely; wider systems fall
-   back to hashing the subset list. Set ids are assigned in
-   first-occurrence order, which is deterministic because
-   configurations are visited in order. *)
-type interner = {
-  direct : int array; (* mask -> id, or -1; empty when too many processes *)
-  by_list : (int list, int) Hashtbl.t;
-  mutable sets_rev : int list list;
-  mutable nsets : int;
-}
-
-let interner_create nproc =
-  {
-    direct = (if nproc <= 16 then Array.make (1 lsl nproc) (-1) else [||]);
-    by_list = Hashtbl.create 64;
-    sets_rev = [];
-    nsets = 0;
-  }
-
-let intern_set t active =
-  if Array.length t.direct > 0 then begin
-    let mask = List.fold_left (fun m p -> m lor (1 lsl p)) 0 active in
-    let id = t.direct.(mask) in
-    if id >= 0 then id
-    else begin
-      let id = t.nsets in
-      t.nsets <- id + 1;
-      t.sets_rev <- active :: t.sets_rev;
-      t.direct.(mask) <- id;
-      id
-    end
-  end
-  else
-    match Hashtbl.find_opt t.by_list active with
-    | Some id -> id
-    | None ->
-      let id = t.nsets in
-      t.nsets <- id + 1;
-      t.sets_rev <- active :: t.sets_rev;
-      Hashtbl.add t.by_list active id;
-      id
-
-let interner_sets t = Array.of_list (List.rev t.sets_rev)
-
 (* Debug check of the ordering contract documented on [graph]: for
    every configuration with groups, the last group's activation set
-   must equal the union of all its groups (distributed/synchronous) or
-   every group must be a singleton (central). Runs under [assert] so
-   release builds compiled with -noassert skip the pass. *)
+   must contain every other group's (distributed/synchronous) — which
+   makes it their union — or every set must be a singleton (central).
+   Interned sets keep their process bitmask, so a subset test is one
+   [land]. Runs under [assert] so release builds compiled with
+   -noassert skip the pass. *)
 let groups_well_ordered g =
-  let ok = ref true in
-  (match g.cls with
-  | Statespace.Central ->
-    (* [grp_active] is exactly the concatenation of all groups. *)
-    Array.iter
-      (fun id -> match g.active_sets.(id) with [ _ ] -> () | _ -> ok := false)
-      g.grp_active
+  match g.cls with
+  | Statespace.Central -> Array.for_all (fun m -> m <> 0 && m land (m - 1) = 0) g.set_mask
   | Statespace.Distributed | Statespace.Synchronous ->
-    (* Every group a subset of its configuration's last group makes the
-       last group the union. Sets are interned, so subset verdicts are
-       memoized per (set id, last set id) pair — an int-keyed lookup
-       per group instead of set algebra per configuration. *)
-    let nsets = Array.length g.active_sets in
-    let memo = Hashtbl.create 64 in
-    let subset a b =
-      let key = (a * nsets) + b in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-        let bs = g.active_sets.(b) in
-        let r = List.for_all (fun p -> List.mem p bs) g.active_sets.(a) in
-        Hashtbl.add memo key r;
-        r
-    in
+    let ok = ref true in
     for c = 0 to g.n - 1 do
       let lo = g.grp_off.(c) and hi = g.grp_off.(c + 1) in
-      if hi > lo then
-        let last = g.grp_active.(hi - 1) in
+      if hi > lo then begin
+        let last = g.set_mask.(g.grp_active.(hi - 1)) in
         for grp = lo to hi - 1 do
-          if not (subset g.grp_active.(grp) last) then ok := false
+          if g.set_mask.(g.grp_active.(grp)) land lnot last <> 0 then ok := false
         done
-    done);
-  !ok
+      end
+    done;
+    !ok
 
-(* Single-pass streaming expansion: each configuration's transition
-   groups are folded straight into the CSR buffers, in exactly the
-   order {!Statespace.transitions} lists them, without materializing
-   per-configuration rows. *)
-let expand_serial space cls n nproc =
-  let grp_off = Array.make (n + 1) 0 in
-  let grp_active = Ibuf.create (2 * n) in
-  let succ_off = Ibuf.create (2 * n) in
-  let succ = Ibuf.create (4 * n) in
-  let succ_w = Fbuf.create (4 * n) in
-  let intern = interner_create nproc in
-  for c = 0 to n - 1 do
-    if c land 255 = 0 then Cancel.poll ();
-    grp_off.(c) <- grp_active.Ibuf.len;
-    Statespace.fold_transitions space cls c ~init:() ~f:(fun () active outcomes ->
-        Ibuf.push grp_active (intern_set intern active);
-        Ibuf.push succ_off succ.Ibuf.len;
-        List.iter
-          (fun (c', w) ->
-            Ibuf.push succ c';
-            Fbuf.push succ_w w)
-          outcomes)
-  done;
-  grp_off.(n) <- grp_active.Ibuf.len;
-  Ibuf.push succ_off succ.Ibuf.len;
-  let g =
-    {
-      n;
-      cls;
-      grp_off;
-      grp_active = Ibuf.contents grp_active;
-      succ_off = Ibuf.contents succ_off;
-      succ = Ibuf.contents succ;
-      succ_w = Fbuf.contents succ_w;
-      active_sets = interner_sets intern;
-      rev_off = None;
-      rev = None;
-    }
-  in
-  assert (groups_well_ordered g);
-  record_expansion g;
-  g
-
-(* Multi-domain expansion: pool workers enumerate transition rows for
-   disjoint slices of the configuration range, so the merge is a join
-   and the result is deterministic regardless of scheduling. Spaces
-   are immutable and protocol step functions are pure, which makes the
-   per-configuration calls safe to run concurrently. The packing pass
-   then re-walks the rows in configuration order, so the CSR layout
-   (and the interned-set numbering) is identical to the serial path.
-   Cancellation propagation and first-exception-wins joining are the
-   pool's contract. *)
+(* Expansion is count, prefix sum, fill. Both passes walk the
+   configurations through {!Statespace.kernel}, one kernel per chunk,
+   as a pool [parallel_for] over disjoint slices (inline at width 1);
+   the count pass records each configuration's group and successor
+   totals, whose prefix sums give every configuration its own ranges of
+   the exact-size CSR arrays, so the fill pass writes disjoint slices
+   and the result does not depend on the schedule. The count pass
+   records which action each process enabled, so every guard runs once,
+   and runs statements only for randomized protocols, so a
+   deterministic protocol pays for each statement once too — as in a
+   single pass. Spaces are immutable
+   and protocol step functions pure, so the per-configuration work is
+   safe to run concurrently. Cancellation propagation and
+   first-exception-wins joining are the pool's contract. *)
+let count_grain = Pool.Grain.site "checker.count"
 let expand_grain = Pool.Grain.site "checker.expand"
 
-let expand_rows space cls n =
-  let rows = Array.make n [] in
-  Pool.parallel_for ~site:expand_grain ~min_chunk:64 n (fun ~lo ~hi ->
+(* The fill pass leaves process bitmasks in [grp_active]; this serial
+   pass replaces them with set ids numbered in first-occurrence order
+   (configurations in code order, groups in kernel order). Few
+   processes index the masks directly, wider systems hash them. *)
+let intern_sets nproc grp_active =
+  let direct = if nproc <= 16 then Array.make (1 lsl nproc) (-1) else [||] in
+  let hashed = Hashtbl.create 64 in
+  let masks_rev = ref [] and nsets = ref 0 in
+  let fresh m =
+    let id = !nsets in
+    incr nsets;
+    masks_rev := m :: !masks_rev;
+    id
+  in
+  for grp = 0 to Array.length grp_active - 1 do
+    let m = grp_active.(grp) in
+    grp_active.(grp) <-
+      (if nproc <= 16 then begin
+         if direct.(m) < 0 then direct.(m) <- fresh m;
+         direct.(m)
+       end
+       else
+         match Hashtbl.find hashed m with
+         | id -> id
+         | exception Not_found ->
+           let id = fresh m in
+           Hashtbl.add hashed m id;
+           id)
+  done;
+  Array.of_list (List.rev !masks_rev)
+
+let build_graph space cls =
+  let n = Statespace.count space in
+  let nproc = Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph in
+  (* [grp_off.(c + 1)] and [sbase.(c + 1)] first hold configuration
+     [c]'s group and successor counts, then their prefix sums. *)
+  let grp_off = Array.make (n + 1) 0 in
+  let sbase = Array.make (n + 1) 0 in
+  let table = Statespace.enabled_table space in
+  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let kn = Statespace.kernel ~table space cls in
       for c = lo to hi - 1 do
         if c land 255 = 0 then Cancel.poll ();
-        rows.(c) <- Statespace.transitions space cls c
+        Statespace.scan kn c;
+        grp_off.(c + 1) <- Statespace.group_count kn;
+        sbase.(c + 1) <- Statespace.successor_count kn
       done);
-  rows
-
-let pack n nproc cls rows =
-  let grp_off = Array.make (n + 1) 0 in
-  let grp_active = Ibuf.create (2 * n) in
-  let succ_off = Ibuf.create (2 * n) in
-  let succ = Ibuf.create (4 * n) in
-  let succ_w = Fbuf.create (4 * n) in
-  let intern = interner_create nproc in
   for c = 0 to n - 1 do
-    grp_off.(c) <- grp_active.Ibuf.len;
-    List.iter
-      (fun (active, outcomes) ->
-        Ibuf.push grp_active (intern_set intern active);
-        Ibuf.push succ_off succ.Ibuf.len;
-        List.iter
-          (fun (c', w) ->
-            Ibuf.push succ c';
-            Fbuf.push succ_w w)
-          outcomes)
-      rows.(c)
+    grp_off.(c + 1) <- grp_off.(c + 1) + grp_off.(c);
+    sbase.(c + 1) <- sbase.(c + 1) + sbase.(c)
   done;
-  grp_off.(n) <- grp_active.Ibuf.len;
-  Ibuf.push succ_off succ.Ibuf.len;
+  let ngroups = grp_off.(n) and nedges = sbase.(n) in
+  let grp_active = Array.make ngroups 0 in
+  let succ_off = Array.make (ngroups + 1) nedges in
+  let succ = Array.make nedges 0 in
+  let succ_w = Array.make nedges 0.0 in
+  Pool.parallel_for ~site:expand_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let kn = Statespace.kernel ~table space cls in
+      for c = lo to hi - 1 do
+        if c land 255 = 0 then Cancel.poll ();
+        Statespace.reload kn c;
+        let grp = ref grp_off.(c) and pos = ref sbase.(c) in
+        while Statespace.next kn do
+          grp_active.(!grp) <- Statespace.group_mask kn;
+          succ_off.(!grp) <- !pos;
+          Statespace.blit_outcomes kn succ succ_w !pos;
+          pos := !pos + Statespace.outcome_count kn;
+          incr grp
+        done
+      done);
+  let set_mask = intern_sets nproc grp_active in
   let g =
     {
       n;
       cls;
       grp_off;
-      grp_active = Ibuf.contents grp_active;
-      succ_off = Ibuf.contents succ_off;
-      succ = Ibuf.contents succ;
-      succ_w = Fbuf.contents succ_w;
-      active_sets = interner_sets intern;
+      grp_active;
+      succ_off;
+      succ;
+      succ_w;
+      set_mask;
+      active_sets = Array.map Statespace.processes_of_mask set_mask;
       rev_off = None;
       rev = None;
     }
@@ -303,16 +208,6 @@ let cache : (int * Statespace.sched_class, graph) Hashtbl.t = Hashtbl.create 16
 let cache_queue : (int * Statespace.sched_class) Queue.t = Queue.create ()
 let cache_mutex = Mutex.create ()
 let cache_capacity = 8
-
-let build_graph space cls =
-  let n = Statespace.count space in
-  let nproc =
-    Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph
-  in
-  (* Below ~1k configurations even pool scheduling is not worth the
-     row materialization; the streaming serial pass wins. *)
-  if Pool.width () <= 1 || n < 1024 then expand_serial space cls n nproc
-  else pack n nproc cls (expand_rows space cls n)
 
 let expand space cls =
   let key = (Statespace.uid space, cls) in
@@ -374,15 +269,7 @@ let weighted_row g c =
     !out
   end
 
-let iter_weighted_row g c f =
-  let glo = g.grp_off.(c) in
-  let ghi = g.grp_off.(c + 1) in
-  if ghi > glo then begin
-    let subset_weight = 1.0 /. float_of_int (ghi - glo) in
-    for i = succ_lo g c to succ_hi g c - 1 do
-      f g.succ.(i) (g.succ_w.(i) *. subset_weight)
-    done
-  end
+let csr g = (g.grp_off, g.succ_off, g.succ, g.succ_w)
 
 type closure_violation =
   | Empty_legitimate_set

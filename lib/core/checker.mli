@@ -29,8 +29,10 @@ type graph
 
 val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 (** Materialize all transitions. Cost is proportional to the number of
-    (configuration, allowed subset, outcome) triples; row enumeration
-    is sharded across OCaml 5 domains (deterministic merge). Results
+    (configuration, allowed subset, outcome) triples: a count pass and
+    a fill pass of {!Statespace.kernel} over configuration slices,
+    sharded across the {!Pool} into exact-size arrays, so the graph is
+    the same at every pool width. Results
     are cached per ({!Statespace.uid}, class) in a small bounded
     store, so the theorem checks, the portfolio, the quantitative
     sweeps and {!Markov.of_space} share one expansion per space
@@ -45,12 +47,13 @@ val weighted_row : graph -> int -> (int * float) list
     order; terminal configurations give []. Consumed by the
     lumpability audit of {!Markov.of_space}. *)
 
-val iter_weighted_row : graph -> int -> (int -> float -> unit) -> unit
-(** [iter_weighted_row g c f] is [weighted_row] without the list:
-    [f target weight] is called once per packed transition of [c], in
-    transition order, straight off the packed arrays. This is the
-    allocation-free handoff {!Markov.of_space} packs its CSR rows
-    from. *)
+val csr : graph -> int array * int array * int array * float array
+(** [(grp_off, succ_off, succ, succ_w)]: the graph's own flat arrays
+    (treat them as read-only). The groups of configuration [c] are
+    [grp_off.(c) .. grp_off.(c + 1) - 1]; group [grp]'s successors and
+    outcome probabilities are [succ]/[succ_w] over
+    [succ_off.(grp) .. succ_off.(grp + 1) - 1]. {!Markov.of_space}
+    packs its chain straight from them. *)
 
 type closure_violation =
   | Empty_legitimate_set

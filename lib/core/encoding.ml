@@ -50,14 +50,17 @@ let index_opt t i s =
   in
   go 0
 
+(* A loop rather than a local recursive function: the expansion kernel
+   calls this once per local outcome, and a closure per call would be
+   its largest allocation. *)
 let index_in_domain t i s =
   let dom = t.domains.(i) in
-  let rec go k =
-    if k >= Array.length dom then invalid_arg "Encoding.encode: state outside domain"
-    else if t.equal s dom.(k) then k
-    else go (k + 1)
-  in
-  go 0
+  let k = ref 0 in
+  while !k < Array.length dom && not (t.equal s dom.(!k)) do
+    incr k
+  done;
+  if !k >= Array.length dom then invalid_arg "Encoding.encode: state outside domain";
+  !k
 
 let encode t cfg =
   if Array.length cfg <> Array.length t.domains then

@@ -37,158 +37,143 @@ let merge_row entries =
   Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Shared CSR packing. [each_row c add] must call [add target weight]
-   once per transition of [c]; duplicates are merged with a stamp
-   array (no per-row hash table), the merged targets are
-   insertion-sorted (rows are short and arrive nearly sorted off the
-   packed graph), and empty rows become absorbing self-loops. *)
-let pack_serial n ~each_row =
-  let off = Array.make (n + 1) 0 in
-  let cap = ref (max 16 (2 * n)) in
-  let cols = ref (Array.make !cap 0) in
-  let wbuf = ref (Array.make !cap 0.0) in
-  let len = ref 0 in
-  let push c w =
-    if !len = !cap then begin
-      cap := 2 * !cap;
-      let cols' = Array.make !cap 0 and wbuf' = Array.make !cap 0.0 in
-      Array.blit !cols 0 cols' 0 !len;
-      Array.blit !wbuf 0 wbuf' 0 !len;
-      cols := cols';
-      wbuf := wbuf'
-    end;
-    !cols.(!len) <- c;
-    !wbuf.(!len) <- w;
-    incr len
-  in
-  let stamp = Array.make n (-1) in
-  let acc = Array.make n 0.0 in
-  let targets = ref (Array.make 16 0) in
-  let ntargets = ref 0 in
-  for c = 0 to n - 1 do
-    ntargets := 0;
-    each_row c (fun c' wgt ->
-        if stamp.(c') = c then acc.(c') <- acc.(c') +. wgt
-        else begin
-          stamp.(c') <- c;
-          acc.(c') <- wgt;
-          if !ntargets = Array.length !targets then begin
-            let grown = Array.make (2 * !ntargets) 0 in
-            Array.blit !targets 0 grown 0 !ntargets;
-            targets := grown
-          end;
-          !targets.(!ntargets) <- c';
-          incr ntargets
-        end);
-    if !ntargets = 0 then push c 1.0 (* terminal: absorbing *)
-    else begin
-      let t = !targets in
-      for i = 1 to !ntargets - 1 do
-        let v = t.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && t.(!j) > v do
-          t.(!j + 1) <- t.(!j);
-          decr j
-        done;
-        t.(!j + 1) <- v
+(* In-place ascending sort of the distinct ints [a.(lo) .. a.(hi - 1)]:
+   quicksort on the median of three, insertion sort below 16 elements,
+   recursing into the smaller side so the stack stays logarithmic.
+   Keys are distinct, so every algorithm yields the same layout. *)
+let rec sort_range (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
       done;
-      for i = 0 to !ntargets - 1 do
-        push t.(i) acc.(t.(i))
-      done
-    end;
-    off.(c + 1) <- !len
-  done;
-  { n; off; cols = Array.sub !cols 0 !len; w = Array.sub !wbuf 0 !len }
+      a.(!j + 1) <- v
+    done
+  else begin
+    let x = a.(lo) and y = a.((lo + hi) / 2) and z = a.(hi - 1) in
+    let pivot = Int.max (Int.min x y) (Int.min (Int.max x y) z) in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j + 1 - lo < hi - !i then begin
+      sort_range a lo (!j + 1);
+      sort_range a !i hi
+    end
+    else begin
+      sort_range a !i hi;
+      sort_range a lo (!j + 1)
+    end
+  end
 
-(* Pool-parallel packing: rows are independent, so chunks of the row
-   range compute their merged-and-sorted target lists concurrently
-   into per-row buffers, and a serial pass concatenates them in row
-   order — the resulting CSR triple is byte-identical to
-   [pack_serial]'s (same per-row arrival order, so the same
-   first-occurrence weight sums and the same sorted layout). Each
-   domain keeps one stamp/accumulator scratch pair in domain-local
-   storage, tagged by a pack generation so a stale stamp from an
-   earlier chain can never alias a row of this one. *)
-type scratch = {
-  mutable s_gen : int;
-  mutable s_stamp : int array;
-  mutable s_acc : float array;
-}
+(* Per-domain merge scratch over target states: [stamp.(t) = base + c]
+   marks [t] as seen in row [c] of the pass whose marks start at
+   [base]. Every pass draws a fresh range of [n] marks from
+   [stamp_base], so marks left by earlier passes (or earlier chains)
+   never alias a row of this one and the arrays are reused without
+   refilling. *)
+type scratch = { mutable stamp : int array; mutable acc : float array }
 
-let pack_generation = Atomic.make 0
+let stamp_base = Atomic.make 0
 
 let dls_scratch : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { s_gen = -1; s_stamp = [||]; s_acc = [||] })
+  Domain.DLS.new_key (fun () -> { stamp = [||]; acc = [||] })
 
+let scratch n =
+  let s = Domain.DLS.get dls_scratch in
+  if Array.length s.stamp < n then begin
+    s.stamp <- Array.make n (-1);
+    s.acc <- Array.make n 0.0
+  end;
+  s
+
+let count_grain = Pool.Grain.site "markov.count"
 let pack_grain = Pool.Grain.site "markov.pack"
 
-let pack_parallel n ~each_row =
-  let gen = Atomic.fetch_and_add pack_generation 1 in
-  let row_cols = Array.make n [||] in
-  let row_ws = Array.make n [||] in
-  Pool.parallel_for ~site:pack_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      let s = Domain.DLS.get dls_scratch in
-      if s.s_gen <> gen || Array.length s.s_stamp < n then begin
-        s.s_stamp <- Array.make n (-1);
-        s.s_acc <- Array.make n 0.0;
-        s.s_gen <- gen
-      end;
-      let stamp = s.s_stamp and acc = s.s_acc in
-      let targets = ref (Array.make 16 0) in
+(* The one CSR packer, over flat row ranges laid out like the checker's
+   packed graph: row [c]'s entries are [succ.(i)] with weight
+   [succ_w.(i) /. groups] for [i] in
+   [succ_off.(grp_off.(c)) .. succ_off.(grp_off.(c + 1)) - 1], where
+   [groups = grp_off.(c + 1) - grp_off.(c)]. A count pass sizes each row
+   by its distinct targets, prefix sums place the rows, and a fill pass
+   merges duplicates in arrival order (first occurrence sets the
+   weight, later ones add to it), sorts the targets ascending in place
+   and writes exact-size arrays; empty rows become absorbing
+   self-loops. Rows are not short — on dijkstra-3state ring:11 under
+   the distributed class the mean out-degree is 66.7 and the largest
+   1020 — and arrive unsorted, hence the quicksort. Both passes are
+   pool [parallel_for]s over disjoint row slices (inline at width 1), so
+   the chain is the same at every width. *)
+let pack n ~grp_off ~succ_off ~succ ~succ_w =
+  let off = Array.make (n + 1) 0 in
+  let base = Atomic.fetch_and_add stamp_base n in
+  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let stamp = (scratch n).stamp in
       for c = lo to hi - 1 do
         if c land 1023 = 0 then Cancel.poll ();
-        let ntargets = ref 0 in
-        each_row c (fun c' wgt ->
-            if stamp.(c') = c then acc.(c') <- acc.(c') +. wgt
-            else begin
-              stamp.(c') <- c;
-              acc.(c') <- wgt;
-              if !ntargets = Array.length !targets then begin
-                let grown = Array.make (2 * !ntargets) 0 in
-                Array.blit !targets 0 grown 0 !ntargets;
-                targets := grown
-              end;
-              !targets.(!ntargets) <- c';
-              incr ntargets
-            end);
-        if !ntargets = 0 then begin
-          row_cols.(c) <- [| c |];
-          row_ws.(c) <- [| 1.0 |] (* terminal: absorbing *)
+        let mark = base + c in
+        let distinct = ref 0 in
+        for i = succ_off.(grp_off.(c)) to succ_off.(grp_off.(c + 1)) - 1 do
+          let t = succ.(i) in
+          if stamp.(t) <> mark then begin
+            stamp.(t) <- mark;
+            incr distinct
+          end
+        done;
+        off.(c + 1) <- max 1 !distinct
+      done);
+  for c = 0 to n - 1 do
+    off.(c + 1) <- off.(c + 1) + off.(c)
+  done;
+  let cols = Array.make off.(n) 0 and w = Array.make off.(n) 0.0 in
+  let base = Atomic.fetch_and_add stamp_base n in
+  Pool.parallel_for ~site:pack_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let { stamp; acc } = scratch n in
+      for c = lo to hi - 1 do
+        if c land 1023 = 0 then Cancel.poll ();
+        let mark = base + c in
+        let glo = grp_off.(c) and ghi = grp_off.(c + 1) in
+        let first = off.(c) in
+        if succ_off.(glo) = succ_off.(ghi) then begin
+          cols.(first) <- c;
+          w.(first) <- 1.0 (* terminal: absorbing *)
         end
         else begin
-          let t = !targets in
-          for i = 1 to !ntargets - 1 do
-            let v = t.(i) in
-            let j = ref (i - 1) in
-            while !j >= 0 && t.(!j) > v do
-              t.(!j + 1) <- t.(!j);
-              decr j
-            done;
-            t.(!j + 1) <- v
+          let scale = 1.0 /. float_of_int (ghi - glo) in
+          let len = ref first in
+          for i = succ_off.(glo) to succ_off.(ghi) - 1 do
+            let t = succ.(i) in
+            let wt = succ_w.(i) *. scale in
+            if stamp.(t) = mark then acc.(t) <- acc.(t) +. wt
+            else begin
+              stamp.(t) <- mark;
+              acc.(t) <- wt;
+              cols.(!len) <- t;
+              incr len
+            end
           done;
-          let cs = Array.sub t 0 !ntargets in
-          row_cols.(c) <- cs;
-          row_ws.(c) <- Array.map (fun c' -> acc.(c')) cs
+          sort_range cols first !len;
+          for i = first to !len - 1 do
+            w.(i) <- acc.(cols.(i))
+          done
         end
       done);
-  let off = Array.make (n + 1) 0 in
-  for c = 0 to n - 1 do
-    off.(c + 1) <- off.(c) + Array.length row_cols.(c)
-  done;
-  let total = off.(n) in
-  let cols = Array.make total 0 and w = Array.make total 0.0 in
-  for c = 0 to n - 1 do
-    Array.blit row_cols.(c) 0 cols off.(c) (Array.length row_cols.(c));
-    Array.blit row_ws.(c) 0 w off.(c) (Array.length row_ws.(c))
-  done;
   { n; off; cols; w }
-
-(* Below a few thousand rows the per-row buffer allocation outweighs
-   the sharding; the streaming serial pass also stays the width-1
-   reference the parallel path is pinned against. *)
-let pack n ~each_row =
-  if Pool.width () <= 1 || n < 4096 then pack_serial n ~each_row
-  else pack_parallel n ~each_row
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -242,8 +227,8 @@ let of_space space randomization =
     | Sync -> Statespace.Synchronous
   in
   let g = Checker.expand space cls in
-  let n = Statespace.count space in
-  let chain = pack n ~each_row:(fun c add -> Checker.iter_weighted_row g c add) in
+  let grp_off, succ_off, succ, succ_w = Checker.csr g in
+  let chain = pack (Statespace.count space) ~grp_off ~succ_off ~succ ~succ_w in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
      | None -> ()
@@ -267,7 +252,22 @@ let of_rows rows =
         if Float.abs (total -. 1.0) > 1e-9 then
           invalid_arg "Markov.of_rows: row does not sum to 1")
     rows;
-  pack n ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
+  (* One single-group row per state, so weights pass through the
+     packer's [1 /. groups] scaling unchanged. *)
+  let succ_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun c entries -> succ_off.(c + 1) <- succ_off.(c) + List.length entries)
+    rows;
+  let succ = Array.make succ_off.(n) 0 and succ_w = Array.make succ_off.(n) 0.0 in
+  Array.iteri
+    (fun c entries ->
+      List.iteri
+        (fun i (c', w) ->
+          succ.(succ_off.(c) + i) <- c';
+          succ_w.(succ_off.(c) + i) <- w)
+        entries)
+    rows;
+  pack n ~grp_off:(Array.init (n + 1) Fun.id) ~succ_off ~succ ~succ_w
 
 (* Iterative Tarjan over the positive-probability graph restricted to
    the states [keep] accepts. Components are returned in emission

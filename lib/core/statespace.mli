@@ -110,6 +110,84 @@ val enabled : 'a t -> int -> int list
 val legitimate_set : 'a t -> 'a Spec.t -> bool array
 (** Bitmap over codes of the spec's legitimate configurations. *)
 
+(** {1 Expansion kernel}
+
+    The one enumeration of the steps a class allows. Per configuration
+    it evaluates every guard once into reusable scratch arrays, then
+    walks the activation groups in a fixed order: enabled singletons in
+    process order (central), the full enabled set (synchronous), or
+    every non-empty subset of the enabled processes in ascending
+    bitmask order (distributed) — so under the distributed and
+    synchronous classes the last group is the whole enabled set. Each
+    group is a process bitmask plus its successor codes and weights:
+    the product of the members' local distributions, last process
+    varying fastest, equal codes merged in first-occurrence order
+    (before quotient projection), as {!Protocol.step_outcomes} does.
+    Nothing is allocated per group. A kernel is scratch for one domain;
+    {!transitions}, {!fold_transitions} and {!successors} wrap it as
+    lists. *)
+
+type 'a kernel
+
+type enabled_table
+(** Which action each process of each configuration enabled, recorded
+    by one pass over a space so that a second pass evaluates no guard
+    (one byte per configuration and process). *)
+
+val enabled_table : 'a t -> enabled_table
+(** A fresh table for [t]. Raises [Invalid_argument] for a protocol
+    with more than 255 actions. *)
+
+val kernel : ?table:enabled_table -> 'a t -> sched_class -> 'a kernel
+(** Fresh scratch for enumerating [t] under [cls]; [table] is the one
+    {!scan} fills and {!reload} reads. Raises [Invalid_argument] when
+    the protocol has more processes than an [int] bitmask holds
+    ([Sys.int_size - 1]). *)
+
+val load : 'a kernel -> int -> unit
+(** [load k c] evaluates the guards and statements of configuration [c]
+    and rewinds the group cursor. Raises [Invalid_argument] under the
+    distributed class when more than 20 processes are enabled. *)
+
+val scan : 'a kernel -> int -> unit
+(** [scan k c] is the counting half of {!load}: it evaluates the guards
+    of [c], records the enabled actions in the kernel's table, and
+    evaluates statements only for a randomized protocol (a deterministic
+    one has one outcome per enabled process). Afterwards only
+    {!group_count} and {!successor_count} may be used. *)
+
+val reload : 'a kernel -> int -> unit
+(** [reload k c] is {!load} with the enabled actions read from the
+    kernel's table, where {!scan} recorded them: only statements are
+    evaluated. Raises [Invalid_argument] when a protocol declared
+    deterministic returns a distribution of several outcomes, which
+    would contradict the counts {!scan} reported. *)
+
+val group_count : 'a kernel -> int
+(** Groups of the loaded configuration; 0 for a terminal one. *)
+
+val successor_count : 'a kernel -> int
+(** Sum of {!outcome_count} over the loaded configuration's groups,
+    without moving the cursor. *)
+
+val next : 'a kernel -> bool
+(** Advance to the next group; [false] once all are visited. *)
+
+val group_mask : 'a kernel -> int
+(** Activated processes of the current group, bit [p] for process [p]. *)
+
+val outcome_count : 'a kernel -> int
+(** Successors of the current group. *)
+
+val blit_outcomes : 'a kernel -> int array -> float array -> int -> unit
+(** [blit_outcomes k codes weights pos] copies the current group's
+    successor codes and weights to [codes] and [weights] at [pos]. *)
+
+val processes_of_mask : int -> int list
+(** The processes of a {!group_mask}, ascending. *)
+
+(** {1 List views} *)
+
 val transitions : 'a t -> sched_class -> int -> (int list * (int * float) list) list
 (** [transitions space cls c] lists the steps the class allows from
     configuration [c]: each element is the activated subset together
@@ -127,7 +205,7 @@ val fold_transitions :
 (** Streamed version of {!transitions}: calls [f] once per allowed
     step, in the same order, without materializing the subset list —
     under the distributed class this avoids building all [2^k - 1]
-    activation subsets up front. Graph expansion consumes this. *)
+    activation subsets up front. *)
 
 val successors : 'a t -> sched_class -> int -> int list
 (** De-duplicated successor codes over all subsets and outcomes. *)

@@ -154,6 +154,34 @@ let test_expand_edge_count () =
   Alcotest.(check int) "distributed edges" 9 (count Statespace.Distributed);
   Alcotest.(check int) "sync edges" 3 (count Statespace.Synchronous)
 
+(* The count pass trusts [randomized = false] to mean one outcome per
+   statement; a protocol breaking that contract must fail loudly in the
+   fill pass rather than overrun the counted ranges. *)
+let test_expand_rejects_undeclared_randomness () =
+  let coin : int Protocol.action =
+    {
+      label = "coin";
+      guard = (fun cfg p -> cfg.(p) = 0);
+      result = (fun _ _ -> [ (1, 0.5); (2, 0.5) ]);
+    }
+  in
+  let p =
+    {
+      Protocol.name = "undeclared-coin";
+      graph = Stabgraph.Graph.chain 2;
+      domain = (fun _ -> [ 0; 1; 2 ]);
+      actions = [ coin ];
+      equal = Int.equal;
+      pp = Format.pp_print_int;
+      randomized = false;
+    }
+  in
+  Alcotest.check_raises "declared deterministic"
+    (Invalid_argument
+       "Statespace: undeclared-coin is declared deterministic but a statement returned \
+        several outcomes")
+    (fun () -> ignore (Checker.expand (Statespace.build p) Statespace.Distributed))
+
 let test_synchronous_lasso_terminal () =
   let space = Statespace.build (countdown ()) in
   let prefix, cycle = Checker.synchronous_lasso space ~init:0 in
@@ -240,8 +268,40 @@ let test_verdict_pp () =
   let s = Format.asprintf "%a" Checker.pp_verdict v in
   Alcotest.(check bool) "mentions closure" true (String.length s > 20)
 
+(* Allocation budgets, exact on every machine: minor words do not
+   depend on timing. Expansion allocates per configuration (decoding,
+   the protocol's own guard and statement results) but not per
+   transition — the CSR arrays are exact-size major-heap blocks — and
+   the Markov pack allocates nothing per chain entry. Width 1 keeps the
+   whole computation on the measuring domain. *)
+let test_allocation_budget () =
+  let before = Pool.width () in
+  Pool.set_width 1;
+  Fun.protect ~finally:(fun () -> Pool.set_width before) @@ fun () ->
+  let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n:9) in
+  let w0 = Gc.minor_words () in
+  let g = Checker.expand space Statespace.Distributed in
+  let expand_words = Gc.minor_words () -. w0 in
+  let configs = Statespace.count space and transitions = Checker.graph_edge_count g in
+  let budget = float_of_int ((300 * configs) + (2 * transitions)) in
+  if expand_words > budget then
+    Alcotest.failf "expand: %.0f minor words for %d configurations and %d transitions, \
+                    budget %.0f"
+      expand_words configs transitions budget;
+  let w0 = Gc.minor_words () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let pack_words = Gc.minor_words () -. w0 in
+  let entries = ref 0 in
+  for c = 0 to Markov.states chain - 1 do
+    entries := !entries + List.length (Markov.row chain c)
+  done;
+  if pack_words > float_of_int !entries then
+    Alcotest.failf "Markov.of_space: %.0f minor words for %d chain entries" pack_words
+      !entries
+
 let suite =
   [
+    Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
     Alcotest.test_case "countdown self-stabilizing" `Quick test_countdown_self_stabilizing;
     Alcotest.test_case "closure violation" `Quick test_oscillator_closure_violation;
     Alcotest.test_case "empty legitimate set" `Quick test_empty_legitimate_set;
@@ -249,6 +309,8 @@ let suite =
     Alcotest.test_case "dead-end detection" `Quick test_dead_end_detection;
     Alcotest.test_case "step-spec violation" `Quick test_step_spec_violation;
     Alcotest.test_case "expand edge counts" `Quick test_expand_edge_count;
+    Alcotest.test_case "expand rejects undeclared randomness" `Quick
+      test_expand_rejects_undeclared_randomness;
     Alcotest.test_case "sync lasso to terminal" `Quick test_synchronous_lasso_terminal;
     Alcotest.test_case "sync lasso cycle" `Quick test_synchronous_lasso_cycle;
     Alcotest.test_case "sync lasso rejects randomized" `Quick test_synchronous_lasso_rejects_randomized;

@@ -13,6 +13,7 @@ let () =
       ("engine", Test_engine.suite);
       ("statespace", Test_statespace.suite);
       ("checker", Test_checker.suite);
+      ("reference-rows", Test_reference_rows.suite);
       ("differential", Test_differential.suite);
       ("symmetry", Test_symmetry.suite);
       ("markov", Test_markov.suite);

@@ -61,45 +61,78 @@ let test_scatter_covers () =
 
 (* --- determinism ---------------------------------------------------- *)
 
-(* The pooled expansion path (width > 1, >= 1024 states) must produce
-   the same packed graph as the serial one: same interned-set
-   numbering, same row order, same weights. A fresh [Statespace.build]
-   per run defeats the (space, scheduler) expansion cache. *)
-let expand_rows () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
-  let g = Checker.expand space Statespace.Distributed in
-  List.init (Statespace.count space) (fun c -> Checker.weighted_row g c)
+(* Expansion and the Markov pack run as count and fill passes over
+   configuration slices; at widths 2 and 4 both must reproduce the
+   width-1 result exactly. The instances span several pool chunks
+   ([parallel_for] opens at 2 * width shares of at least 64):
+   token-ring ring:8 under the distributed class, full and quotient,
+   and herman ring:11 under the central class, whose rows are
+   randomized. Each run builds a fresh space, which defeats the
+   (space, scheduler) expansion cache. *)
+
+(* The packed graph's flat arrays and weighted rows, plus both fairness
+   witnesses: only the witnesses read the interned activation sets. *)
+let expansion space cls spec =
+  let g = Checker.expand space cls in
+  let v = Checker.analyze space cls spec in
+  ( Checker.csr g,
+    List.init (Statespace.count space) (Checker.weighted_row g),
+    Lazy.force v.Checker.strongly_fair_diverges,
+    Lazy.force v.Checker.weakly_fair_diverges )
+
+let markov_rows space r =
+  let chain = Markov.of_space space r in
+  List.init (Markov.states chain) (Markov.row chain)
+
+(* (name, (expansion view, Markov view), whether the instance has
+   fair-divergence witnesses) *)
+let instances =
+  let token_ring ~quotient =
+    let n = 8 in
+    let space () =
+      let full = Statespace.build (Stabalgo.Token_ring.make ~n) in
+      if quotient then Statespace.quotient full else full
+    in
+    ( (fun () -> expansion (space ()) Statespace.Distributed (Stabalgo.Token_ring.spec ~n)),
+      fun () -> markov_rows (space ()) Markov.Distributed_uniform )
+  in
+  let herman =
+    let n = 11 in
+    let space () = Statespace.build (Stabalgo.Herman.make ~n) in
+    ( (fun () -> expansion (space ()) Statespace.Central (Stabalgo.Herman.spec ~n)),
+      fun () -> markov_rows (space ()) Markov.Central_uniform )
+  in
+  [
+    ("token-ring ring:8", token_ring ~quotient:false, true);
+    ("token-ring ring:8 quotient", token_ring ~quotient:true, true);
+    ("herman ring:11 central", herman, false);
+  ]
 
 let test_expansion_identical_across_widths () =
-  let reference = with_width 1 expand_rows in
   List.iter
-    (fun w ->
-      with_width w (fun () ->
-          for rep = 1 to 2 do
-            if expand_rows () <> reference then
-              Alcotest.failf "width %d rep %d: expansion differs from serial" w
-                rep
-          done))
-    [ 2; 4 ]
-
-(* Same for the sparse-chain CSR rows (pooled for >= 4096 states). *)
-let markov_rows () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
-  let chain = Markov.of_space space Markov.Distributed_uniform in
-  List.init (Markov.states chain) (fun c -> Markov.row chain c)
+    (fun (name, (expand, _), witnessed) ->
+      let ((_, _, strong, weak) as reference) = with_width 1 expand in
+      if witnessed && (strong = None || weak = None) then
+        Alcotest.failf "%s: expected fair-divergence witnesses" name;
+      List.iter
+        (fun w ->
+          with_width w (fun () ->
+              if expand () <> reference then
+                Alcotest.failf "%s, width %d: expansion differs from width 1" name w))
+        [ 2; 4 ])
+    instances
 
 let test_markov_identical_across_widths () =
-  let reference = with_width 1 markov_rows in
   List.iter
-    (fun w ->
-      with_width w (fun () ->
-          if markov_rows () <> reference then
-            Alcotest.failf "width %d: CSR rows differ from serial" w))
-    [ 2; 4 ]
+    (fun (name, (_, markov), _) ->
+      let reference = with_width 1 markov in
+      List.iter
+        (fun w ->
+          with_width w (fun () ->
+              if markov () <> reference then
+                Alcotest.failf "%s, width %d: CSR rows differ from width 1" name w))
+        [ 2; 4 ])
+    instances
 
 (* Pooled Monte-Carlo draws the same sample as the sequential
    estimator for the same seed: streams are pre-split in run order. *)
