@@ -123,6 +123,22 @@ token-ring(n=5): converges with probability 1 under distributed-random
 expected stabilization time: mean 1.6979 steps, worst initial configuration 2.8000 steps
 |}
       ~stderr:{||};
+    golden "markov herman ring:7 central gs"
+      [ "markov"; "-p"; "herman"; "-t"; "ring:7"; "-r"; "central-random"; "--solver"; "gs" ]
+      ~code:0
+      ~stdout:{|sparse solve: 1 blocks, 253 sweeps, final relative residual 9.35089e-11
+herman(n=7): converges with probability 1 under central-random
+expected stabilization time: mean 31.2912 steps, worst initial configuration 39.2972 steps
+|}
+      ~stderr:{||};
+    golden "markov herman ring:7 central jacobi"
+      [ "markov"; "-p"; "herman"; "-t"; "ring:7"; "-r"; "central-random"; "--solver"; "jacobi" ]
+      ~code:0
+      ~stdout:{|sparse solve: 1 blocks, 483 sweeps, final relative residual 9.9744e-11
+herman(n=7): converges with probability 1 under central-random
+expected stabilization time: mean 31.2912 steps, worst initial configuration 39.2972 steps
+|}
+      ~stderr:{||};
     golden "markov ring:4 synchronous" [ "markov"; "-p"; "token-ring"; "-t"; "ring:4"; "-r"; "synchronous" ] ~code:0
       ~stdout:{|token-ring(n=4): does NOT converge with probability 1 under synchronous
 counterexample configuration (code 0): [0 0 0 0]
