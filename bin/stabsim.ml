@@ -957,10 +957,16 @@ let profile_cmd =
         let v = Stabcore.Checker.analyze space cls e.spec in
         let legitimate = Stabcore.Statespace.legitimate_set space e.spec in
         let chain = Stabcore.Markov.of_space space (Stabcore.Markov.of_class cls) in
-        let prob1 = Stabcore.Markov.converges_with_prob_one chain ~legitimate in
+        let solved = Stabcore.Markov.hitting_times_checked chain ~legitimate in
+        let prob1 = Result.is_ok solved in
         let hit_stats =
-          match prob1 with
-          | Ok () -> Some (Stabcore.Markov.hitting_stats chain ~legitimate)
+          match solved with
+          | Ok (times, (None | Some (Stabcore.Markov.Converged _))) ->
+            Some (Stabcore.Markov.stats_of_times times)
+          | Ok (_, Some (Stabcore.Markov.Max_sweeps s)) ->
+            failwith
+              (Printf.sprintf "sparse solver hit its sweep budget (%d sweeps across %d blocks)"
+                 s.Stabcore.Markov.sweeps s.Stabcore.Markov.blocks)
           | Error _ -> None
         in
         let sched = Stabcore.Scheduler.of_class cls in
@@ -983,9 +989,7 @@ let profile_cmd =
                     [
                       ("weak", Json.Bool (Stabcore.Checker.weak_stabilizing v));
                       ("self", Json.Bool (Stabcore.Checker.self_stabilizing v));
-                      ( "prob1",
-                        Json.Bool
-                          (match prob1 with Ok () -> true | Error _ -> false) );
+                      ("prob1", Json.Bool prob1);
                     ] );
                 ( "hitting",
                   match hit_stats with
@@ -1022,7 +1026,7 @@ let profile_cmd =
             "verdicts: weak-stabilizing %b, self-stabilizing %b, prob-1 convergence %b@."
             (Stabcore.Checker.weak_stabilizing v)
             (Stabcore.Checker.self_stabilizing v)
-            (match prob1 with Ok () -> true | Error _ -> false);
+            prob1;
           (match hit_stats with
           | Some s ->
             Format.printf "expected stabilization time: mean %.4f steps, worst %.4f steps@."

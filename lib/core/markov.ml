@@ -344,6 +344,7 @@ let bsccs chain =
 let transient_blocks chain ~transient = components ~keep:transient chain
 
 let reaches chain ~target =
+  Stabobs.Obs.span "markov.reaches" @@ fun () ->
   let n = chain.n in
   (* Counting-sort reverse adjacency over the CSR edges, then BFS. *)
   let nedges = Array.length chain.cols in
@@ -405,90 +406,67 @@ type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
    a block exceeding [max_sweeps] aborts the remaining blocks and
    reports [Max_sweeps] with the partial iterate left in [x]. *)
 let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
+  Stabobs.Obs.span "markov.solve.sparse" @@ fun () ->
   let blocks = transient_blocks chain ~transient in
-  let nblocks = List.length blocks in
-  let x_old = match kind with Jacobi -> Array.make chain.n 0.0 | Gauss_seidel -> [||] in
-  let block_of = Array.make chain.n (-1) in
-  Stabobs.Obs.span "markov.solve.sparse"
-    ~args:[ ("blocks", Stabobs.Json.Int nblocks) ]
-  @@ fun () ->
-  let total_sweeps = ref 0 in
-  let worst = ref 0.0 in
-  let failed = ref false in
-  let value c read_in read_self =
-    (* One diagonal-solved evaluation of state [c]'s equation;
-       [read_in] resolves targets inside the current block. *)
-    let acc = ref base in
-    let self = ref 0.0 in
-    for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = chain.cols.(i) in
-      let wv = chain.w.(i) in
-      if c' = c then self := !self +. wv
-      else if block_of.(c') = block_of.(c) then acc := !acc +. (wv *. read_in c')
-      else acc := !acc +. (wv *. x.(c'))
-    done;
-    let d = 1.0 -. !self in
-    if d > 1e-12 then !acc /. d
-    else
-      (* No leak through the diagonal: the plain fixed-point update.
-         A transient state with w_cc = 1 violates the solvability
-         precondition; this keeps the sweep finite so the block times
-         out instead of dividing by zero. *)
-      !acc +. (!self *. read_self c)
+  let { off; cols; w; _ } = chain in
+  (* Neighbours are read from [src]: [x] itself for Gauss-Seidel; for
+     Jacobi a mirror of [x] that [settle] refreshes over a block before
+     each sweep and once the block is solved, so a sweep reads the
+     previous iterate inside its block and final values outside it. *)
+  let src = match kind with Gauss_seidel -> x | Jacobi -> Array.copy x in
+  let settle block =
+    if src != x then
+      for k = 0 to Array.length block - 1 do
+        src.(block.(k)) <- x.(block.(k))
+      done
   in
-  let solve_block bid block =
-    let bsize = Array.length block in
-    Array.iter (fun c -> block_of.(c) <- bid) block;
-    if bsize = 1 then begin
-      let c = block.(0) in
-      let d =
-        let self = ref 0.0 in
-        iter_row chain c (fun c' wv -> if c' = c then self := !self +. wv);
-        1.0 -. !self
-      in
-      if d > 1e-12 then x.(c) <- value c (fun c' -> x.(c')) (fun c' -> x.(c'))
-      else failed := true (* absorbing-in-transient: no finite solution *)
+  (* One sweep of the block's equations in place, returning the
+     relative residual. The sums run in CSR order and no float escapes
+     into a closure or the heap, so the loop allocates nothing. Where
+     no mass leaks through the diagonal (w_cc = 1 on a transient state
+     violates the solvability precondition) the plain fixed-point
+     update keeps the sweep finite, so the block times out instead of
+     dividing by zero; [Float.max] keeps a NaN iterate unconverged. *)
+  let sweep block =
+    let delta = ref 0.0 and norm = ref 1.0 (* max(1, ||x||_inf) *) in
+    for k = 0 to Array.length block - 1 do
+      let c = block.(k) in
+      let acc = ref base and self = ref 0.0 in
+      for i = off.(c) to off.(c + 1) - 1 do
+        let c' = cols.(i) in
+        if c' = c then self := !self +. w.(i) else acc := !acc +. (w.(i) *. src.(c'))
+      done;
+      let d = 1.0 -. !self in
+      let v = if d > 1e-12 then !acc /. d else !acc +. (!self *. src.(c)) in
+      delta := Float.max !delta (Float.abs (v -. x.(c)));
+      norm := Float.max !norm (Float.abs v);
+      x.(c) <- v
+    done;
+    !delta /. !norm
+  in
+  let total_sweeps = ref 0 and worst = ref 0.0 and failed = ref false in
+  let solve_block block =
+    if Array.length block = 1 then begin
+      let c = block.(0) and self = ref 0.0 in
+      for i = off.(c) to off.(c + 1) - 1 do
+        if cols.(i) = c then self := !self +. w.(i)
+      done;
+      (* No leak through the diagonal: absorbing in transient, no finite solution. *)
+      if 1.0 -. !self > 1e-12 then ignore (sweep block) else failed := true
     end
     else
       Stabobs.Obs.span "markov.solve.block"
-        ~args:[ ("size", Stabobs.Json.Int bsize) ]
+        ~args:[ ("size", Stabobs.Json.Int (Array.length block)) ]
       @@ fun () ->
-      let sweeps = ref 0 in
-      let residual = ref infinity in
-      let continue = ref true in
-      while !continue do
+      let sweeps = ref 0 and residual = ref infinity in
+      while not (!residual <= tolerance || !failed) do
         Cancel.poll ();
-        if !sweeps >= max_sweeps then begin
-          failed := true;
-          continue := false
-        end
+        if !sweeps >= max_sweeps then failed := true
         else begin
           incr sweeps;
-          let delta = ref 0.0 in
-          (* max(1, ||x||_inf) folded into the starting norm. *)
-          let norm = ref 1.0 in
-          (match kind with
-          | Gauss_seidel ->
-            Array.iter
-              (fun c ->
-                let v = value c (fun c' -> x.(c')) (fun c' -> x.(c')) in
-                delta := Float.max !delta (Float.abs (v -. x.(c)));
-                norm := Float.max !norm (Float.abs v);
-                x.(c) <- v)
-              block
-          | Jacobi ->
-            Array.iter (fun c -> x_old.(c) <- x.(c)) block;
-            Array.iter
-              (fun c ->
-                let v = value c (fun c' -> x_old.(c')) (fun c' -> x_old.(c')) in
-                delta := Float.max !delta (Float.abs (v -. x.(c)));
-                norm := Float.max !norm (Float.abs v);
-                x.(c) <- v)
-              block);
-          let rel = !delta /. !norm in
-          residual := rel;
-          Stabobs.Dist.record Stabobs.Dist.markov_solve_residual rel;
-          if rel <= tolerance then continue := false
+          settle block;
+          residual := sweep block;
+          Stabobs.Dist.record Stabobs.Dist.markov_solve_residual !residual
         end
       done;
       Stabobs.Obs.Counter.add Stabobs.Obs.markov_solve_sweeps !sweeps;
@@ -498,9 +476,12 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
   List.iteri
     (fun bid block ->
       if bid land 1023 = 0 then Cancel.poll ();
-      if not !failed then solve_block bid block)
+      if not !failed then begin
+        solve_block block;
+        settle block
+      end)
     blocks;
-  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = nblocks } in
+  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = List.length blocks } in
   if !failed then Max_sweeps { stats with residual = infinity } else Converged stats
 
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
@@ -544,18 +525,13 @@ let exact_hitting chain ~legitimate ~transient =
   Stablinalg.Matrix.solve a (Array.make t_count 1.0)
 
 let hitting_times_checked ?method_ chain ~legitimate =
-  (match converges_with_prob_one chain ~legitimate with
-  | Ok () -> ()
-  | Error c ->
-    invalid_arg
-      (Printf.sprintf
-         "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c));
-  let n = states chain in
-  let transient =
-    Array.of_list (List.filter (fun c -> not legitimate.(c)) (List.init n Fun.id))
-  in
-  if Array.length transient = 0 then (Array.make n 0.0, None)
-  else begin
+  match converges_with_prob_one chain ~legitimate with
+  | Error c -> Error c
+  | Ok () ->
+    let n = states chain in
+    let transient =
+      Array.of_list (List.filter (fun c -> not legitimate.(c)) (List.init n Fun.id))
+    in
     let method_ =
       match method_ with
       | Some m -> m
@@ -563,21 +539,21 @@ let hitting_times_checked ?method_ chain ~legitimate =
         if Array.length transient <= 1200 then Exact
         else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
     in
-    match method_ with
-    | Exact ->
-      let solved = exact_hitting chain ~legitimate ~transient in
-      let out = Array.make n 0.0 in
-      Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
-      (out, None)
-    | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } ->
-      let times, outcome = sparse_hitting_times ~tolerance ~max_sweeps chain ~legitimate in
-      (times, Some outcome)
-    | Sparse { kind = Jacobi; tolerance; max_sweeps } ->
-      let times, outcome =
-        sparse_hitting_times ~kind:Jacobi ~tolerance ~max_sweeps chain ~legitimate
-      in
-      (times, Some outcome)
-  end
+    if Array.length transient = 0 then Ok (Array.make n 0.0, None)
+    else (
+      match method_ with
+      | Exact ->
+        let solved = exact_hitting chain ~legitimate ~transient in
+        let out = Array.make n 0.0 in
+        Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
+        Ok (out, None)
+      | Sparse { kind; tolerance; max_sweeps } ->
+        let times, outcome = sparse_hitting_times ~kind ~tolerance ~max_sweeps chain ~legitimate in
+        Ok (times, Some outcome))
+
+let unreachable c =
+  invalid_arg
+    (Printf.sprintf "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c)
 
 let method_tolerance = function
   | Some (Sparse { tolerance; _ }) -> tolerance
@@ -585,8 +561,9 @@ let method_tolerance = function
 
 let expected_hitting_times ?method_ chain ~legitimate =
   match hitting_times_checked ?method_ chain ~legitimate with
-  | times, (None | Some (Converged _)) -> times
-  | _, Some (Max_sweeps stats) ->
+  | Error c -> unreachable c
+  | Ok (times, (None | Some (Converged _))) -> times
+  | Ok (_, Some (Max_sweeps stats)) ->
     no_convergence "sparse_hitting_times" ~tolerance:(method_tolerance method_) stats
 
 (* Dense oracle for absorption: solve (I - Q) p = (one-step mass into
@@ -629,18 +606,10 @@ let absorption_probabilities ?method_ chain ~legitimate =
   in
   match method_ with
   | Exact -> exact_absorption chain ~legitimate
-  | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } -> (
-    let p, outcome = sparse_absorption ~tolerance ~max_sweeps chain ~legitimate in
-    match outcome with
-    | Converged _ -> p
-    | Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
-  | Sparse { kind = Jacobi; tolerance; max_sweeps } -> (
-    let p, outcome =
-      sparse_absorption ~kind:Jacobi ~tolerance ~max_sweeps chain ~legitimate
-    in
-    match outcome with
-    | Converged _ -> p
-    | Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
+  | Sparse { kind; tolerance; max_sweeps } -> (
+    match sparse_absorption ~kind ~tolerance ~max_sweeps chain ~legitimate with
+    | p, Converged _ -> p
+    | _, Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
 
 let transient_distribution chain ~init ~steps =
   let n = states chain in
@@ -696,8 +665,9 @@ let hitting_stats ?method_ ?weights chain ~legitimate =
   stats_of_times ?weights (expected_hitting_times ?method_ chain ~legitimate)
 
 let hitting_stats_checked ?method_ ?weights chain ~legitimate =
-  let times, outcome = hitting_times_checked ?method_ chain ~legitimate in
-  (stats_of_times ?weights times, outcome)
+  match hitting_times_checked ?method_ chain ~legitimate with
+  | Ok (times, outcome) -> (stats_of_times ?weights times, outcome)
+  | Error c -> unreachable c
 
 let mean_hitting_time chain ~legitimate = (hitting_stats chain ~legitimate).mean
 let max_hitting_time chain ~legitimate = (hitting_stats chain ~legitimate).max

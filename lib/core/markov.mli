@@ -131,14 +131,16 @@ val hitting_times_checked :
   ?method_:hitting_method ->
   t ->
   legitimate:bool array ->
-  float array * solve_outcome option
-(** {!expected_hitting_times} with the solver outcome surfaced instead
-    of raised: [None] for dense exact solves (which either succeed or
+  (float array * solve_outcome option, int) result
+(** {!expected_hitting_times} with every failure surfaced instead of
+    raised. [Error c] when probability-1 convergence fails, [c] being
+    the state {!converges_with_prob_one} names; the reachability pass
+    runs once, so callers need not check first. Otherwise the solver
+    outcome: [None] for dense exact solves (which either succeed or
     raise from the linear algebra), [Some outcome] for the sparse
     backends. On [Max_sweeps] the returned array is the partial
     iterate — callers decide whether to warn, degrade, or fail, and
-    record the outcome alongside the numbers. Same probability-1
-    convergence precondition ([Invalid_argument] otherwise). *)
+    record the outcome alongside the numbers. *)
 
 val expected_hitting_times :
   ?method_:hitting_method -> t -> legitimate:bool array -> float array
@@ -191,6 +193,10 @@ val hitting_stats :
     {!Statespace.orbit_sizes} for a lumped chain so the mean matches a
     uniformly random initial configuration of the {e full} space. *)
 
+val stats_of_times : ?weights:int array -> float array -> hitting_stats
+(** The summary of per-state hitting times, e.g. from
+    {!hitting_times_checked}; [weights] as in {!hitting_stats}. *)
+
 val hitting_stats_checked :
   ?method_:hitting_method ->
   ?weights:int array ->
@@ -199,7 +205,9 @@ val hitting_stats_checked :
   hitting_stats * solve_outcome option
 (** {!hitting_stats} through {!hitting_times_checked}: the summary plus
     the sparse solver's typed outcome, never raising on [Max_sweeps]
-    (the stats then summarize the partial iterate). *)
+    (the stats then summarize the partial iterate). Same
+    probability-1 convergence precondition as {!expected_hitting_times}
+    ([Invalid_argument] otherwise). *)
 
 val mean_hitting_time : t -> legitimate:bool array -> float
 (** [(hitting_stats chain ~legitimate).mean] — the expected

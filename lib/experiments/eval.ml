@@ -93,13 +93,10 @@ let run (q : Query.t) rung =
             convergence;
           }
       in
-      match Markov.converges_with_prob_one chain ~legitimate with
+      match Markov.hitting_times_checked ?method_:solver chain ~legitimate with
       | Error code -> Ok (markov (Result.Stuck { code; config = render space code }))
-      | Ok () -> (
-        let stats, solve =
-          Markov.hitting_stats_checked ?method_:solver
-            ?weights:(Statespace.orbit_sizes space) chain ~legitimate
-        in
+      | Ok (times, solve) -> (
+        let stats = Markov.stats_of_times ?weights:(Statespace.orbit_sizes space) times in
         match solve with
         | Some (Markov.Max_sweeps s) when not allow_nonconverged ->
           Error

@@ -185,8 +185,8 @@ let e1_token_sweep ?method_ ?(seed = 42) ?(quick = true) () =
         let legitimate = Stabalgo.Israeli_jalfon.legitimate ~n in
         legitimate.(0) <- true (* unreachable empty mask *);
         let resolved = resolve_method method_ legitimate in
-        let times, ij_outcome =
-          Markov.hitting_times_checked ~method_:resolved chain ~legitimate
+        let { Markov.times; _ }, ij_outcome =
+          Markov.hitting_stats_checked ~method_:resolved chain ~legitimate
         in
         (* Average over non-empty masks only. *)
         let total = ref 0.0 and count = ref 0 in

@@ -171,6 +171,122 @@ let test_singleton_blocks_exact () =
   let drift = max_abs_diff dense times in
   if drift > 1e-9 then Alcotest.failf "back-substitution drift %g" drift
 
+(* Textbook blocked Gauss-Seidel / Jacobi over [Markov.row] lists, the
+   arithmetic the sparse kernel must reproduce bit for bit: blocks in
+   [transient_blocks] order, each equation diagonal-solved with its sum
+   started at [base] and taken in row order, singletons in one
+   evaluation, multi-state blocks swept until the relative residual
+   [max |x' - x| / max(1, max |x'|)] is at most [tolerance]. Jacobi
+   reads a full copy of the previous iterate. Returns the iterate and
+   the sweeps over multi-state blocks. *)
+let reference_solve ~jacobi ~tolerance chain ~transient ~base x =
+  let rows = Array.init (Markov.states chain) (Markov.row chain) in
+  let eval read c =
+    let self, acc =
+      List.fold_left
+        (fun (self, acc) (c', w) ->
+          if c' = c then (self +. w, acc) else (self, acc +. (w *. read c')))
+        (0.0, base) rows.(c)
+    in
+    let d = 1.0 -. self in
+    if d > 1e-12 then acc /. d else acc +. (self *. read c)
+  in
+  let sweeps = ref 0 in
+  List.iter
+    (fun block ->
+      if Array.length block = 1 then x.(block.(0)) <- eval (Array.get x) block.(0)
+      else begin
+        let residual = ref infinity in
+        while not (!residual <= tolerance) do
+          incr sweeps;
+          let read = if jacobi then Array.get (Array.copy x) else Array.get x in
+          let delta = ref 0.0 and norm = ref 1.0 in
+          Array.iter
+            (fun c ->
+              let v = eval read c in
+              delta := Float.max !delta (Float.abs (v -. x.(c)));
+              norm := Float.max !norm (Float.abs v);
+              x.(c) <- v)
+            block;
+          residual := !delta /. !norm
+        done
+      end)
+    (Markov.transient_blocks chain ~transient);
+  (x, !sweeps)
+
+let check_bits tag (want, want_sweeps) (got, outcome) =
+  let sweeps =
+    match outcome with
+    | Markov.Converged s -> s.Markov.sweeps
+    | Markov.Max_sweeps _ -> Alcotest.failf "%s: Max_sweeps" tag
+  in
+  Alcotest.(check int) (tag ^ " sweeps") want_sweeps sweeps;
+  Array.iteri
+    (fun c v ->
+      if Int64.bits_of_float v <> Int64.bits_of_float got.(c) then
+        Alcotest.failf "%s: state %d reference %h, sparse %h" tag c v got.(c))
+    want
+
+(* Both sparse kinds against the textbook sweep on every portfolio
+   chain: hitting times where probability-1 convergence holds,
+   absorption probabilities everywhere. *)
+let test_reference_bits () =
+  List.iter
+    (fun (tag, Stabexp.Registry.Entry e) ->
+      let space = Statespace.build e.protocol in
+      let legitimate = Statespace.legitimate_set space e.spec in
+      List.iter
+        (fun cls ->
+          let chain = Markov.of_space space (randomization_of cls) in
+          let n = Markov.states chain in
+          let can_reach = Markov.reaches chain ~target:legitimate in
+          List.iter
+            (fun (kind, jacobi, name) ->
+              let tag = Printf.sprintf "%s/%s/%s" tag (class_tag cls) name in
+              if Array.for_all Fun.id can_reach then
+                check_bits (tag ^ "/hitting")
+                  (reference_solve ~jacobi ~tolerance:1e-10 chain
+                     ~transient:(Array.map not legitimate) ~base:1.0 (Array.make n 0.0))
+                  (Markov.sparse_hitting_times ~kind chain ~legitimate);
+              check_bits (tag ^ "/absorption")
+                (reference_solve ~jacobi ~tolerance:1e-12 chain
+                   ~transient:(Array.init n (fun c -> can_reach.(c) && not legitimate.(c)))
+                   ~base:0.0
+                   (Array.map (fun l -> if l then 1.0 else 0.0) legitimate))
+                (Markov.sparse_absorption ~kind chain ~legitimate))
+            [ (Markov.Gauss_seidel, false, "gs"); (Markov.Jacobi, true, "jacobi") ])
+        Test_differential.classes)
+    (Test_differential.instances ())
+
+(* The sweep allocates nothing per edge or per state: on herman ring:9
+   under the central randomized daemon (one multi-state block), 1000
+   extra sweeps cost at most 16 minor words each, for both kinds. A
+   zero tolerance makes both solves run to their budget. *)
+let test_solve_allocation_budget () =
+  let (Stabexp.Registry.Entry e) =
+    Stabexp.Registry.find ~name:"herman" ~topology:"ring:9" ()
+  in
+  let space = Statespace.build e.protocol in
+  let legitimate = Statespace.legitimate_set space e.spec in
+  let chain = Markov.of_space space Markov.Central_uniform in
+  List.iter
+    (fun (kind, name) ->
+      let words max_sweeps =
+        let w0 = Gc.minor_words () in
+        let _, outcome =
+          Markov.sparse_hitting_times ~kind ~tolerance:0.0 ~max_sweeps chain ~legitimate
+        in
+        let words = Gc.minor_words () -. w0 in
+        (match outcome with
+        | Markov.Max_sweeps s -> Alcotest.(check int) (name ^ " sweeps") max_sweeps s.Markov.sweeps
+        | Markov.Converged _ -> Alcotest.failf "%s: converged at tolerance 0" name);
+        words
+      in
+      let per_sweep = (words 1100 -. words 100) /. 1000.0 in
+      if per_sweep > 16.0 then
+        Alcotest.failf "%s: %.1f minor words per sweep, budget 16" name per_sweep)
+    [ (Markov.Gauss_seidel, "gs"); (Markov.Jacobi, "jacobi") ]
+
 let suite =
   [
     Alcotest.test_case "dense vs gs vs jacobi (portfolio)" `Quick
@@ -180,4 +296,6 @@ let suite =
       test_expected_hitting_reports_failure;
     Alcotest.test_case "block ordering" `Quick test_block_ordering;
     Alcotest.test_case "singleton blocks exact" `Quick test_singleton_blocks_exact;
+    Alcotest.test_case "textbook sweep, bit for bit (portfolio)" `Quick test_reference_bits;
+    Alcotest.test_case "solve allocation budget" `Quick test_solve_allocation_budget;
   ]
