@@ -421,12 +421,13 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
       done
   in
   (* One sweep of the block's equations in place, returning the
-     relative residual. The sums run in CSR order and no float escapes
-     into a closure or the heap, so the loop allocates nothing. Where
-     no mass leaks through the diagonal (w_cc = 1 on a transient state
-     violates the solvability precondition) the plain fixed-point
-     update keeps the sweep finite, so the block times out instead of
-     dividing by zero; [Float.max] keeps a NaN iterate unconverged. *)
+     relative residual. The sums run in CSR order over local float refs
+     that no closure captures, so nothing is allocated per state or
+     edge. Where no mass leaks through the diagonal (w_cc = 1 on a
+     transient state violates the solvability precondition) the plain
+     fixed-point update keeps the sweep finite, so the block times out
+     instead of dividing by zero; [Float.max] keeps a NaN iterate
+     unconverged. *)
   let sweep block =
     let delta = ref 0.0 and norm = ref 1.0 (* max(1, ||x||_inf) *) in
     for k = 0 to Array.length block - 1 do
@@ -451,7 +452,7 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
       for i = off.(c) to off.(c + 1) - 1 do
         if cols.(i) = c then self := !self +. w.(i)
       done;
-      (* No leak through the diagonal: absorbing in transient, no finite solution. *)
+      (* Exact in one sweep, unless absorbing in transient: no finite solution. *)
       if 1.0 -. !self > 1e-12 then ignore (sweep block) else failed := true
     end
     else
@@ -532,15 +533,15 @@ let hitting_times_checked ?method_ chain ~legitimate =
     let transient =
       Array.of_list (List.filter (fun c -> not legitimate.(c)) (List.init n Fun.id))
     in
-    let method_ =
-      match method_ with
-      | Some m -> m
-      | None ->
-        if Array.length transient <= 1200 then Exact
-        else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
-    in
     if Array.length transient = 0 then Ok (Array.make n 0.0, None)
-    else (
+    else begin
+      let method_ =
+        match method_ with
+        | Some m -> m
+        | None ->
+          if Array.length transient <= 1200 then Exact
+          else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
+      in
       match method_ with
       | Exact ->
         let solved = exact_hitting chain ~legitimate ~transient in
@@ -548,12 +549,16 @@ let hitting_times_checked ?method_ chain ~legitimate =
         Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
         Ok (out, None)
       | Sparse { kind; tolerance; max_sweeps } ->
-        let times, outcome = sparse_hitting_times ~kind ~tolerance ~max_sweeps chain ~legitimate in
-        Ok (times, Some outcome))
+        let times, outcome =
+          sparse_hitting_times ~kind ~tolerance ~max_sweeps chain ~legitimate
+        in
+        Ok (times, Some outcome)
+    end
 
 let unreachable c =
   invalid_arg
-    (Printf.sprintf "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c)
+    (Printf.sprintf
+       "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c)
 
 let method_tolerance = function
   | Some (Sparse { tolerance; _ }) -> tolerance

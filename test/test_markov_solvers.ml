@@ -5,8 +5,11 @@
    convergence holds) and absorption probabilities with the dense
    Gaussian-elimination oracle and with both sparse iterative
    backends; the three must agree to 1e-8 with identical convergence
-   verdicts. Unit tests pin the typed Max_sweeps outcome, the
-   reverse-topological block order, and the singleton fast path. *)
+   verdicts. Both sparse kinds must also equal a textbook blocked
+   sweep bit for bit, and stay within a per-sweep allocation budget.
+   Unit tests pin the typed Max_sweeps outcome, the typed unreachable
+   state, the reverse-topological block order, and the singleton fast
+   path. *)
 
 open Stabcore
 
@@ -171,6 +174,34 @@ let test_singleton_blocks_exact () =
   let drift = max_abs_diff dense times in
   if drift > 1e-9 then Alcotest.failf "back-substitution drift %g" drift
 
+(* Without probability-1 convergence the checked solve returns the
+   state [converges_with_prob_one] names, and the raising entry points
+   keep their [Invalid_argument] text. *)
+let test_unreachable_is_typed () =
+  let (Stabexp.Registry.Entry e) =
+    Stabexp.Registry.find ~name:"token-ring" ~topology:"ring:4" ()
+  in
+  let space = Statespace.build e.protocol in
+  let legitimate = Statespace.legitimate_set space e.spec in
+  let chain = Markov.of_space space Markov.Sync in
+  let code =
+    match Markov.converges_with_prob_one chain ~legitimate with
+    | Error c -> c
+    | Ok () -> Alcotest.fail "token-ring ring:4 converges under the synchronous daemon"
+  in
+  (match Markov.hitting_times_checked chain ~legitimate with
+  | Error c -> Alcotest.(check int) "same stuck state" code c
+  | Ok _ -> Alcotest.fail "expected Error");
+  let failure =
+    Invalid_argument
+      (Printf.sprintf
+         "Markov.expected_hitting_times: state %d cannot reach the legitimate set" code)
+  in
+  Alcotest.check_raises "expected_hitting_times" failure (fun () ->
+      ignore (Markov.expected_hitting_times chain ~legitimate));
+  Alcotest.check_raises "hitting_stats_checked" failure (fun () ->
+      ignore (Markov.hitting_stats_checked chain ~legitimate))
+
 (* Textbook blocked Gauss-Seidel / Jacobi over [Markov.row] lists, the
    arithmetic the sparse kernel must reproduce bit for bit: blocks in
    [transient_blocks] order, each equation diagonal-solved with its sum
@@ -296,6 +327,7 @@ let suite =
       test_expected_hitting_reports_failure;
     Alcotest.test_case "block ordering" `Quick test_block_ordering;
     Alcotest.test_case "singleton blocks exact" `Quick test_singleton_blocks_exact;
+    Alcotest.test_case "unreachable state is a typed error" `Quick test_unreachable_is_typed;
     Alcotest.test_case "textbook sweep, bit for bit (portfolio)" `Quick test_reference_bits;
     Alcotest.test_case "solve allocation budget" `Quick test_solve_allocation_budget;
   ]
