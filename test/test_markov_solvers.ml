@@ -228,7 +228,7 @@ let reference_solve ~jacobi ~tolerance chain ~transient ~base x =
       if Array.length block = 1 then x.(block.(0)) <- eval (Array.get x) block.(0)
       else begin
         let residual = ref infinity in
-        while not (!residual <= tolerance) do
+        while not (!residual <= tolerance) && !sweeps < 1_000_000 do
           incr sweeps;
           let read = if jacobi then Array.get (Array.copy x) else Array.get x in
           let delta = ref 0.0 and norm = ref 1.0 in
