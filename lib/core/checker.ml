@@ -362,27 +362,19 @@ let check_closure space g spec =
     check_closure_quotient space base reps rep_of g.cls spec
   | None -> check_closure_full space g spec
 
+(* Tarjan over the graph's rows (see {!Scc}): configuration [c]'s
+   successors are the flat range [succ_lo g c .. succ_hi g c - 1]. *)
+let decompose g mask =
+  incr scc_builds;
+  Scc.decompose ~via:g.grp_off ~off:g.succ_off ~cols:g.succ mask
+
+let possible_of (reach : Scc.t) =
+  match Scc.first_unreached reach with None -> Ok () | Some c -> Error c
+
+(* One forward pass over C \ L: a configuration reaches L iff its
+   component has an edge into L or into a component that does. *)
 let possible_convergence _space g ~legitimate =
-  let n = g.n in
-  (* Backward BFS from L over reversed edges. *)
-  let rev_off, rev = reverse g in
-  let reaches = Bitset.of_bool_array legitimate in
-  let queue = Queue.create () in
-  Array.iteri (fun c ok -> if ok then Queue.add c queue) legitimate;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = rev_off.(c) to rev_off.(c + 1) - 1 do
-      let pred = rev.(i) in
-      if not (Bitset.mem reaches pred) then begin
-        Bitset.set reaches pred;
-        Queue.add pred queue
-      end
-    done
-  done;
-  let rec find c =
-    if c >= n then None else if Bitset.mem reaches c then find (c + 1) else Some c
-  in
-  match find 0 with None -> Ok () | Some c -> Error c
+  possible_of (decompose g (Scc.avoiding legitimate))
 
 type divergence = Cycle of int list | Dead_end of int
 
@@ -409,126 +401,84 @@ let illegitimate_terminals space ~legitimate =
 
 (* Iterative depth-first cycle detection on the subgraph of
    configurations outside L. color: 0 white, 1 on current path, 2 done.
-   Each stack frame keeps a cursor into the flat successor range, which
-   visits exactly the sequence the list-based expansion produced. *)
+   The path and each path node's cursor into its flat successor range
+   live in flat arrays, which visits exactly the sequence the
+   list-based expansion produced; a back edge to [next] closes the
+   cycle formed by the path from [next] to its top. *)
 let find_cycle_outside g ~legitimate =
   let n = g.n in
-  let color = Array.make n 0 in
-  let parent = Array.make n (-1) in
-  let cycle = ref None in
-  let exception Found in
-  (try
-     for start = 0 to n - 1 do
-       if (not legitimate.(start)) && color.(start) = 0 then begin
-         let stack = Stack.create () in
-         color.(start) <- 1;
-         Stack.push (start, ref (succ_lo g start)) stack;
-         while not (Stack.is_empty stack) do
-           let node, cursor = Stack.top stack in
-           let hi = succ_hi g node in
-           while !cursor < hi && legitimate.(g.succ.(!cursor)) do
-             incr cursor
-           done;
-           if !cursor >= hi then begin
-             color.(node) <- 2;
-             ignore (Stack.pop stack)
-           end
-           else begin
-             let next = g.succ.(!cursor) in
-             incr cursor;
-             if color.(next) = 1 then begin
-               (* Back edge: walk parents from [node] to [next]. *)
-               let rec collect acc v =
-                 if v = next then v :: acc else collect (v :: acc) parent.(v)
-               in
-               cycle := Some (collect [] node);
-               raise Found
-             end
-             else if color.(next) = 0 then begin
-               color.(next) <- 1;
-               parent.(next) <- node;
-               Stack.push (next, ref (succ_lo g next)) stack
-             end
-           end
-         done
-       end
-     done
-   with Found -> ());
+  let color = Bytes.make n '\000' in
+  let path = Array.make n 0 and cursor = Array.make n 0 in
+  let cycle = ref None and start = ref 0 in
+  while Option.is_none !cycle && !start < n do
+    let root = !start in
+    incr start;
+    if (not legitimate.(root)) && Bytes.get color root = '\000' then begin
+      Bytes.set color root '\001';
+      cursor.(root) <- succ_lo g root;
+      path.(0) <- root;
+      let depth = ref 1 in
+      while !depth > 0 do
+        let node = path.(!depth - 1) in
+        let hi = succ_hi g node in
+        let i = ref cursor.(node) in
+        while !i < hi && legitimate.(g.succ.(!i)) do
+          incr i
+        done;
+        if !i >= hi then begin
+          Bytes.set color node '\002';
+          decr depth
+        end
+        else begin
+          let next = g.succ.(!i) in
+          cursor.(node) <- !i + 1;
+          match Bytes.get color next with
+          | '\001' ->
+            let bottom = ref (!depth - 1) in
+            while path.(!bottom) <> next do
+              decr bottom
+            done;
+            cycle := Some (Array.to_list (Array.sub path !bottom (!depth - !bottom)));
+            depth := 0
+          | '\000' ->
+            Bytes.set color next '\001';
+            cursor.(next) <- succ_lo g next;
+            path.(!depth) <- next;
+            incr depth
+          | _ -> ()
+        end
+      done
+    end
+  done;
   !cycle
 
-(* Certain convergence given an already-computed terminal list, so
-   [analyze] scans for terminals exactly once per verdict. *)
-let certain_of_terminals g ~legitimate ~terminals =
-  match terminals with
+let certain_convergence _space g ~legitimate =
+  match terminals_of g ~legitimate with
   | c :: _ -> Error (Dead_end c)
   | [] -> (
     match find_cycle_outside g ~legitimate with
     | Some cycle -> Error (Cycle cycle)
     | None -> Ok ())
 
-let certain_convergence _space g ~legitimate =
-  certain_of_terminals g ~legitimate ~terminals:(terminals_of g ~legitimate)
-
-(* Iterative Tarjan SCC over the subgraph of nodes in [alive],
-   following only internal edges. Returns SCCs as lists, in reverse
-   topological completion order. Cursor-based like the cycle finder, so
-   component order matches the list-based implementation exactly. *)
-let sccs g ~alive =
-  incr scc_builds;
-  let n = g.n in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Bitset.create n in
-  let scc_stack = Stack.create () in
-  let next_index = ref 0 in
+(* Components as lists in reverse completion order (sources first),
+   members in depth-first order: the layout the fairness checks and
+   their witnesses are pinned to. *)
+let component_lists (s : Scc.t) =
   let out = ref [] in
-  let visit root =
-    let work = Stack.create () in
-    Stack.push (root, ref (succ_lo g root)) work;
-    index.(root) <- !next_index;
-    low.(root) <- !next_index;
-    incr next_index;
-    Stack.push root scc_stack;
-    Bitset.set on_stack root;
-    while not (Stack.is_empty work) do
-      let node, cursor = Stack.top work in
-      let hi = succ_hi g node in
-      while !cursor < hi && not (Bitset.mem alive g.succ.(!cursor)) do
-        incr cursor
-      done;
-      if !cursor < hi then begin
-        let next = g.succ.(!cursor) in
-        incr cursor;
-        if index.(next) < 0 then begin
-          index.(next) <- !next_index;
-          low.(next) <- !next_index;
-          incr next_index;
-          Stack.push next scc_stack;
-          Bitset.set on_stack next;
-          Stack.push (next, ref (succ_lo g next)) work
-        end
-        else if Bitset.mem on_stack next then low.(node) <- min low.(node) index.(next)
-      end
-      else begin
-        ignore (Stack.pop work);
-        if low.(node) = index.(node) then begin
-          let rec pop acc =
-            let v = Stack.pop scc_stack in
-            Bitset.clear on_stack v;
-            if v = node then v :: acc else pop (v :: acc)
-          in
-          out := pop [] :: !out
-        end;
-        (match Stack.top work with
-        | parent, _ -> low.(parent) <- min low.(parent) low.(node)
-        | exception Stack.Empty -> ())
-      end
-    done
-  in
-  for c = 0 to n - 1 do
-    if Bitset.mem alive c && index.(c) < 0 then visit c
+  for b = 0 to s.blocks - 1 do
+    let members = ref [] in
+    for k = s.block_off.(b + 1) - 1 downto s.block_off.(b) do
+      members := s.order.(k) :: !members
+    done;
+    out := !members :: !out
   done;
   !out
+
+(* SCCs of the subgraph of nodes in [alive], following only internal
+   edges. *)
+let sccs g ~alive =
+  component_lists
+    (decompose g (Bytes.init g.n (fun c -> if Bitset.mem alive c then Scc.alive else Scc.outside)))
 
 (* True iff the SCC (given as a membership test plus member list) has at
    least one internal edge — needed to sustain an infinite execution. *)
@@ -708,29 +658,35 @@ let analyze space cls spec =
   Obs.span "checker.analyze" @@ fun () ->
   let g = expand space cls in
   let legitimate = Statespace.legitimate_set space spec in
-  (* Shared intermediates: the reverse adjacency (memoized on [g]) and
-     the terminal list are derived exactly once per verdict. The SCC
-     decomposition of C \ L feeds only the two fairness checks, so it
-     is deferred with them: callers that never force a fairness field
-     (weak/self verdicts) skip the Streett machinery entirely, and
-     forcing both fields still decomposes once. *)
+  (* Shared intermediates, each derived once per verdict: the terminal
+     list, and one forward Tarjan pass over C \ L that decides possible
+     convergence (reach flags), certain convergence (no cycle, so a
+     cycle witness is searched only when one exists) and, on a full
+     space, the components both deferred fairness checks start from.
+     Callers that never force a fairness field (weak/self verdicts)
+     skip the Streett machinery entirely. *)
   let terminals = Obs.span "checker.terminals" (fun () -> terminals_of g ~legitimate) in
+  let reach = Obs.span "checker.reach" (fun () -> decompose g (Scc.avoiding legitimate)) in
   (* Fairness runs in the base space when [space] is a quotient (see
-     [fairness_arena]); the arena and the SCC decomposition it feeds
-     are shared by both deferred fairness fields. *)
+     [fairness_arena]), which needs its own decomposition; the arena
+     and the components are shared by both deferred fairness fields. *)
   let arena = lazy (fairness_arena space g ~legitimate) in
   let components =
     lazy
       (let fg, fleg = Lazy.force arena in
-       Obs.span "checker.sccs" (fun () -> sccs fg ~alive:(alive_outside fleg)))
+       Obs.span "checker.sccs" (fun () ->
+           if fg == g then component_lists reach else sccs fg ~alive:(alive_outside fleg)))
   in
   let closure = Obs.span "checker.closure" (fun () -> check_closure space g spec) in
-  let possible =
-    Obs.span "checker.possible" (fun () -> possible_convergence space g ~legitimate)
-  in
+  let possible = possible_of reach in
   let certain =
-    Obs.span "checker.certain" (fun () ->
-        certain_of_terminals g ~legitimate ~terminals)
+    match terminals with
+    | c :: _ -> Error (Dead_end c)
+    | [] when not reach.cyclic -> Ok ()
+    | [] -> (
+      match Obs.span "checker.cycle" (fun () -> find_cycle_outside g ~legitimate) with
+      | Some cycle -> Error (Cycle cycle)
+      | None -> Ok ())
   in
   (* Certain convergence leaves no divergence at all — no cycle and no
      terminal outside [L], a fact that lifts from a quotient to its

@@ -73,9 +73,10 @@ val check_closure :
 
 val possible_convergence :
   'a Statespace.t -> graph -> legitimate:bool array -> (unit, int) result
-(** [Error c] gives a configuration from which no execution reaches
-    [L] (backward reachability from [L] over all positive-probability
-    edges). *)
+(** [Error c] gives the lowest configuration from which no execution
+    reaches [L]. Decided forward by one {!Scc} pass over [C \ L]: a
+    configuration reaches [L] iff its component has an edge into [L] or
+    into a component that does. No reverse graph is built. *)
 
 type divergence =
   | Cycle of int list  (** configuration codes of a cycle outside [L] *)
@@ -127,9 +128,11 @@ type verdict = {
 }
 
 val analyze : 'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> verdict
-(** The closure/possible/certain verdicts are computed eagerly; the two
-    fairness witnesses are deferred until forced (along with the SCC
-    decomposition of [C \ L] they share), so callers that only need
+(** The closure/possible/certain verdicts are computed eagerly, the
+    last two from one forward {!Scc} pass over [C \ L] (a cycle witness
+    is searched only when that pass finds a cycle). The two fairness
+    witnesses are deferred until forced (on a full space they start
+    from the components of that same pass), so callers that only need
     weak/self verdicts never pay for the Streett analysis. The
     {!self_stabilizing_strongly_fair} / {!self_stabilizing_weakly_fair}
     accessors force them. On a quotient space the deferred fairness
@@ -145,19 +148,21 @@ val analyze : 'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> verdict
     once per verdict. *)
 
 val reverse_build_count : unit -> int
-(** Number of reverse-adjacency constructions performed so far. The
-    reverse graph is memoized on the {!graph} value, so repeated
-    backward passes over the same expansion count once. *)
+(** Number of reverse-adjacency constructions performed so far. Only
+    {!best_case_steps} (and {!convergence_radius_histogram} through it)
+    walks the reverse graph, memoized on the {!graph} value, so repeated
+    calls over the same expansion count once; {!analyze} builds none. *)
 
 val terminal_scan_count : unit -> int
 (** Number of full terminal scans ({!illegitimate_terminals} or the
     graph-side equivalent) performed so far. *)
 
 val scc_build_count : unit -> int
-(** Number of Tarjan SCC decompositions performed so far. {!analyze}
-    shares one decomposition of [C \ L] between the strong- and
-    weak-fairness checks (Streett refinement may add further
-    decompositions on pruned subsets). *)
+(** Number of Tarjan SCC decompositions performed so far. On a full
+    space {!analyze} shares one decomposition of [C \ L] between
+    possible and certain convergence and the strong- and weak-fairness
+    checks (Streett refinement may add further decompositions on pruned
+    subsets; a quotient's fairness fields decompose the base space). *)
 
 val weak_stabilizing : verdict -> bool
 (** Closure holds and possible convergence holds (Definition 3). *)

@@ -269,65 +269,27 @@ let of_rows rows =
     rows;
   pack n ~grp_off:(Array.init (n + 1) Fun.id) ~succ_off ~succ ~succ_w
 
-(* Iterative Tarjan over the positive-probability graph restricted to
-   the states [keep] accepts. Components are returned in emission
-   order — every edge out of a component lands inside it, in an
-   earlier component, or outside the kept set — i.e. sinks-first
-   (reverse topological order of the condensation), which is exactly
-   the order in which per-block solves can run. Members come out
-   sorted ascending. *)
-let components ?keep chain =
-  let n = chain.n in
-  let kept = match keep with None -> fun _ -> true | Some mask -> fun c -> mask.(c) in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let scc_stack = Stack.create () in
-  let next_index = ref 0 in
-  let out = ref [] in
-  let visit root =
-    let work = Stack.create () in
-    let push_node v =
-      index.(v) <- !next_index;
-      low.(v) <- !next_index;
-      incr next_index;
-      Stack.push v scc_stack;
-      on_stack.(v) <- true;
-      Stack.push (v, ref chain.off.(v)) work
-    in
-    push_node root;
-    while not (Stack.is_empty work) do
-      let node, cursor = Stack.top work in
-      if !cursor < chain.off.(node + 1) then begin
-        let next = chain.cols.(!cursor) in
-        incr cursor;
-        if kept next then
-          if index.(next) < 0 then push_node next
-          else if on_stack.(next) then low.(node) <- min low.(node) index.(next)
-      end
-      else begin
-        ignore (Stack.pop work);
-        if low.(node) = index.(node) then begin
-          let rec pop acc =
-            let v = Stack.pop scc_stack in
-            on_stack.(v) <- false;
-            if v = node then v :: acc else pop (v :: acc)
-          in
-          out := Array.of_list (List.sort Int.compare (pop [])) :: !out
-        end;
-        match Stack.top work with
-        | parent, _ -> low.(parent) <- min low.(parent) low.(node)
-        | exception Stack.Empty -> ()
-      end
-    done
-  in
-  for c = 0 to n - 1 do
-    if kept c && index.(c) < 0 then visit c
+(* The {!Scc} pass over the positive-probability graph, with every
+   component's members sorted ascending in place: components come out
+   sinks-first (every edge out of a component lands inside it, in an
+   earlier component, or on a state the mask does not decompose), the
+   order per-block solves run in, and the sort fixes the order a
+   Gauss-Seidel sweep visits a block's states. *)
+let decompose chain mask =
+  Stabobs.Obs.span "markov.scc" @@ fun () ->
+  let scc = Scc.decompose ~off:chain.off ~cols:chain.cols mask in
+  for b = 0 to scc.blocks - 1 do
+    sort_range scc.order scc.block_off.(b) scc.block_off.(b + 1)
   done;
-  List.rev !out
+  scc
+
+let components chain mask =
+  let scc = decompose chain mask in
+  List.init scc.blocks (fun b ->
+      Array.sub scc.order scc.block_off.(b) (scc.block_off.(b + 1) - scc.block_off.(b)))
 
 let bsccs chain =
-  let comps = components chain in
+  let comps = components chain (Bytes.make chain.n Scc.alive) in
   let component = Array.make chain.n (-1) in
   List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
   List.filteri
@@ -341,47 +303,20 @@ let bsccs chain =
     comps
   |> List.map Array.to_list
 
-let transient_blocks chain ~transient = components ~keep:transient chain
+let transient_blocks chain ~transient =
+  components chain
+    (Bytes.init chain.n (fun c -> if transient.(c) then Scc.alive else Scc.outside))
 
+(* Reachability is forward: decompose the states outside [target] and
+   read the reach flags, so no reverse adjacency is built. *)
 let reaches chain ~target =
-  Stabobs.Obs.span "markov.reaches" @@ fun () ->
-  let n = chain.n in
-  (* Counting-sort reverse adjacency over the CSR edges, then BFS. *)
-  let nedges = Array.length chain.cols in
-  let roff = Array.make (n + 1) 0 in
-  Array.iter (fun c' -> roff.(c' + 1) <- roff.(c' + 1) + 1) chain.cols;
-  for i = 0 to n - 1 do
-    roff.(i + 1) <- roff.(i + 1) + roff.(i)
-  done;
-  let rev = Array.make nedges 0 in
-  let cursor = Array.copy roff in
-  for c = 0 to n - 1 do
-    for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = chain.cols.(i) in
-      rev.(cursor.(c')) <- c;
-      cursor.(c') <- cursor.(c') + 1
-    done
-  done;
-  let ok = Array.copy target in
-  let queue = Queue.create () in
-  Array.iteri (fun c t -> if t then Queue.add c queue) target;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = roff.(c) to roff.(c + 1) - 1 do
-      let pred = rev.(i) in
-      if not ok.(pred) then begin
-        ok.(pred) <- true;
-        Queue.add pred queue
-      end
-    done
-  done;
-  ok
+  let scc = decompose chain (Scc.avoiding target) in
+  Array.init chain.n (fun c -> target.(c) || Scc.reached scc c)
 
 let converges_with_prob_one chain ~legitimate =
-  let ok = reaches chain ~target:legitimate in
-  let n = states chain in
-  let rec find c = if c >= n then None else if ok.(c) then find (c + 1) else Some c in
-  match find 0 with None -> Ok () | Some c -> Error c
+  match Scc.first_unreached (decompose chain (Scc.avoiding legitimate)) with
+  | None -> Ok ()
+  | Some c -> Error c
 
 type sparse_kind = Gauss_seidel | Jacobi
 
@@ -392,46 +327,50 @@ type hitting_method =
 type solve_stats = { sweeps : int; residual : float; blocks : int }
 type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
 
-(* Blocked substochastic solve of x = base + P x over the [transient]
-   states, in place in [x]; entries outside [transient] are boundary
-   values and never written. The transient subgraph is decomposed into
-   SCCs and solved block by block in reverse topological order, so
-   every out-of-block target read during a block's sweeps is already
+(* Blocked substochastic solve of x = base + P x over the components
+   of [scc] (all of them, or with [~reaching_only] those whose states
+   reach the decomposition's targets), in place in [x]; other entries
+   are boundary values and never written. Components come sinks-first,
+   so every out-of-block target read during a block's sweeps is already
    final — acyclic transient parts (self-stabilizing protocols) reduce
    to exact back-substitution, and iteration cost concentrates on the
-   recurrent-looking blocks that need it. Each equation is
+   recurrent-looking blocks that need it. Blocks are read as slices of
+   the flat [order] layout, members ascending. Each equation is
    diagonal-solved: x(c) = (base + sum_{c' <> c} w x(c')) / (1 - w_cc),
    which makes singleton blocks exact in one evaluation. Stops on the
    relative residual ||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tol;
    a block exceeding [max_sweeps] aborts the remaining blocks and
    reports [Max_sweeps] with the partial iterate left in [x]. *)
-let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
+let solve_transient ~kind ~tolerance ~max_sweeps chain (scc : Scc.t) ~reaching_only ~base x =
   Stabobs.Obs.span "markov.solve.sparse" @@ fun () ->
-  let blocks = transient_blocks chain ~transient in
   let { off; cols; w; _ } = chain in
+  let { Scc.order; block_off; _ } = scc in
+  let kept b = (not reaching_only) || Scc.reached scc order.(block_off.(b)) in
   (* Neighbours are read from [src]: [x] itself for Gauss-Seidel; for
      Jacobi a mirror of [x] that [settle] refreshes over a block before
      each sweep and once the block is solved, so a sweep reads the
      previous iterate inside its block and final values outside it. *)
   let src = match kind with Gauss_seidel -> x | Jacobi -> Array.copy x in
-  let settle block =
+  let settle lo hi =
     if src != x then
-      for k = 0 to Array.length block - 1 do
-        src.(block.(k)) <- x.(block.(k))
+      for k = lo to hi - 1 do
+        src.(order.(k)) <- x.(order.(k))
       done
   in
-  (* One sweep of the block's equations in place, returning the
-     relative residual. The sums run in CSR order over local float refs
-     that no closure captures, so nothing is allocated per state or
-     edge. Where no mass leaks through the diagonal (w_cc = 1 on a
-     transient state violates the solvability precondition) the plain
-     fixed-point update keeps the sweep finite, so the block times out
-     instead of dividing by zero; [Float.max] keeps a NaN iterate
-     unconverged. *)
-  let sweep block =
+  (* One sweep of the block [order.(lo) .. order.(hi - 1)] in place,
+     leaving the relative residual in [residual.(0)] (an unboxed float
+     cell, so the call returns no boxed float). The sums run in CSR
+     order over local float refs that no closure captures, so nothing
+     is allocated per sweep, state or edge. Where no mass leaks through
+     the diagonal (w_cc = 1 on a transient state violates the
+     solvability precondition) the plain fixed-point update keeps the
+     sweep finite, so the block times out instead of dividing by zero;
+     [Float.max] keeps a NaN iterate unconverged. *)
+  let residual = Array.make 1 0.0 in
+  let sweep lo hi =
     let delta = ref 0.0 and norm = ref 1.0 (* max(1, ||x||_inf) *) in
-    for k = 0 to Array.length block - 1 do
-      let c = block.(k) in
+    for k = lo to hi - 1 do
+      let c = order.(k) in
       let acc = ref base and self = ref 0.0 in
       for i = off.(c) to off.(c + 1) - 1 do
         let c' = cols.(i) in
@@ -443,63 +382,69 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
       norm := Float.max !norm (Float.abs v);
       x.(c) <- v
     done;
-    !delta /. !norm
+    residual.(0) <- !delta /. !norm
   in
   let total_sweeps = ref 0 and worst = ref 0.0 and failed = ref false in
-  let solve_block block =
-    if Array.length block = 1 then begin
-      let c = block.(0) and self = ref 0.0 in
+  let solve_block lo hi =
+    if hi - lo = 1 then begin
+      let c = order.(lo) and self = ref 0.0 in
       for i = off.(c) to off.(c + 1) - 1 do
         if cols.(i) = c then self := !self +. w.(i)
       done;
       (* Exact in one sweep, unless absorbing in transient: no finite solution. *)
-      if 1.0 -. !self > 1e-12 then ignore (sweep block) else failed := true
+      if 1.0 -. !self > 1e-12 then sweep lo hi else failed := true
     end
     else
-      Stabobs.Obs.span "markov.solve.block"
-        ~args:[ ("size", Stabobs.Json.Int (Array.length block)) ]
+      Stabobs.Obs.span "markov.solve.block" ~args:[ ("size", Stabobs.Json.Int (hi - lo)) ]
       @@ fun () ->
-      let sweeps = ref 0 and residual = ref infinity in
-      while not (!residual <= tolerance || !failed) do
+      let sweeps = ref 0 in
+      residual.(0) <- infinity;
+      while not (residual.(0) <= tolerance || !failed) do
         Cancel.poll ();
         if !sweeps >= max_sweeps then failed := true
         else begin
           incr sweeps;
-          settle block;
-          residual := sweep block;
-          Stabobs.Dist.record Stabobs.Dist.markov_solve_residual !residual
+          settle lo hi;
+          sweep lo hi;
+          Stabobs.Dist.record Stabobs.Dist.markov_solve_residual residual.(0)
         end
       done;
       Stabobs.Obs.Counter.add Stabobs.Obs.markov_solve_sweeps !sweeps;
       total_sweeps := !total_sweeps + !sweeps;
-      worst := Float.max !worst !residual
+      worst := Float.max !worst residual.(0)
   in
-  List.iteri
-    (fun bid block ->
-      if bid land 1023 = 0 then Cancel.poll ();
+  let blocks = ref 0 in
+  for b = 0 to scc.blocks - 1 do
+    if b land 1023 = 0 then Cancel.poll ();
+    if kept b then begin
+      incr blocks;
       if not !failed then begin
-        solve_block block;
-        settle block
-      end)
-    blocks;
-  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = List.length blocks } in
+        solve_block block_off.(b) block_off.(b + 1);
+        settle block_off.(b) block_off.(b + 1)
+      end
+    end
+  done;
+  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = !blocks } in
   if !failed then Max_sweeps { stats with residual = infinity } else Converged stats
 
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let n = chain.n in
-  let transient = Array.map not legitimate in
-  let x = Array.make n 0.0 in
-  let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
+  let scc = decompose chain (Scc.avoiding legitimate) in
+  let x = Array.make chain.n 0.0 in
+  let outcome =
+    solve_transient ~kind ~tolerance ~max_sweeps chain scc ~reaching_only:false ~base:1.0 x
+  in
   (x, outcome)
 
+(* The states that cannot reach L keep 0: only the components whose
+   reach flag is set are solved. *)
 let sparse_absorption ?(kind = Gauss_seidel) ?(tolerance = 1e-12)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let n = chain.n in
-  let can_reach = reaches chain ~target:legitimate in
-  let transient = Array.init n (fun c -> can_reach.(c) && not legitimate.(c)) in
-  let x = Array.init n (fun c -> if legitimate.(c) then 1.0 else 0.0) in
-  let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:0.0 x in
+  let scc = decompose chain (Scc.avoiding legitimate) in
+  let x = Array.map (fun l -> if l then 1.0 else 0.0) legitimate in
+  let outcome =
+    solve_transient ~kind ~tolerance ~max_sweeps chain scc ~reaching_only:true ~base:0.0 x
+  in
   (x, outcome)
 
 let no_convergence fn ~tolerance (stats : solve_stats) =
@@ -525,34 +470,52 @@ let exact_hitting chain ~legitimate ~transient =
     transient;
   Stablinalg.Matrix.solve a (Array.make t_count 1.0)
 
+(* The states [keep] marks, ascending. *)
+let states_where keep =
+  let out = Array.make (Array.fold_left (fun k b -> if b then k + 1 else k) 0 keep) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun c b ->
+      if b then begin
+        out.(!k) <- c;
+        incr k
+      end)
+    keep;
+  out
+
+(* One decomposition of the states outside L answers both questions:
+   the first state without a reach flag is the typed [Error], and the
+   components are the sparse solver's blocks. *)
 let hitting_times_checked ?method_ chain ~legitimate =
-  match converges_with_prob_one chain ~legitimate with
-  | Error c -> Error c
-  | Ok () ->
+  let scc = decompose chain (Scc.avoiding legitimate) in
+  match Scc.first_unreached scc with
+  | Some c -> Error c
+  | None ->
     let n = states chain in
-    let transient =
-      Array.of_list (List.filter (fun c -> not legitimate.(c)) (List.init n Fun.id))
-    in
-    if Array.length transient = 0 then Ok (Array.make n 0.0, None)
+    let t_count = scc.block_off.(scc.blocks) (* the states outside L *) in
+    if t_count = 0 then Ok (Array.make n 0.0, None)
     else begin
       let method_ =
         match method_ with
         | Some m -> m
         | None ->
-          if Array.length transient <= 1200 then Exact
+          if t_count <= 1200 then Exact
           else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
       in
       match method_ with
       | Exact ->
+        let transient = states_where (Array.map not legitimate) in
         let solved = exact_hitting chain ~legitimate ~transient in
         let out = Array.make n 0.0 in
         Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
         Ok (out, None)
       | Sparse { kind; tolerance; max_sweeps } ->
-        let times, outcome =
-          sparse_hitting_times ~kind ~tolerance ~max_sweeps chain ~legitimate
+        let x = Array.make n 0.0 in
+        let outcome =
+          solve_transient ~kind ~tolerance ~max_sweeps chain scc ~reaching_only:false
+            ~base:1.0 x
         in
-        Ok (times, Some outcome)
+        Ok (x, Some outcome)
     end
 
 let unreachable c =
@@ -577,10 +540,7 @@ let expected_hitting_times ?method_ chain ~legitimate =
 let exact_absorption chain ~legitimate =
   let n = states chain in
   let can_reach = reaches chain ~target:legitimate in
-  let transient =
-    Array.of_list
-      (List.filter (fun c -> can_reach.(c) && not legitimate.(c)) (List.init n Fun.id))
-  in
+  let transient = states_where (Array.mapi (fun c r -> r && not legitimate.(c)) can_reach) in
   let p = Array.init n (fun c -> if legitimate.(c) then 1.0 else 0.0) in
   let t_count = Array.length transient in
   if t_count = 0 then p

@@ -17,7 +17,9 @@
     BSCC-aware: the transient subgraph is decomposed into strongly
     connected blocks solved in reverse topological order, so acyclic
     parts cost one back-substitution pass and iteration is confined to
-    the blocks that actually need it. See [docs/markov-solvers.md]. *)
+    the blocks that actually need it. Reachability of [L] and the blocks
+    come from the same forward {!Scc} pass; no reverse graph is built.
+    See [docs/markov-solvers.md]. *)
 
 type randomization =
   | Central_uniform
@@ -60,12 +62,13 @@ val bsccs : t -> int list list
 
 val reaches : t -> target:bool array -> bool array
 (** [reaches chain ~target] marks states from which [target] is
-    reachable through positive-probability paths. *)
+    reachable through positive-probability paths (the [target] states
+    included), by one forward {!Scc} pass over the other states. *)
 
 val converges_with_prob_one : t -> legitimate:bool array -> (unit, int) result
 (** Probability-1 convergence to [L] from {e every} state —
     Definition 2's probabilistic convergence with [I = C]. On failure,
-    returns a state from which [L] is unreachable. *)
+    returns the lowest state from which [L] is unreachable. *)
 
 type sparse_kind =
   | Gauss_seidel  (** in-place sweeps; typically converges in fewer *)
@@ -134,8 +137,9 @@ val hitting_times_checked :
   (float array * solve_outcome option, int) result
 (** {!expected_hitting_times} with every failure surfaced instead of
     raised. [Error c] when probability-1 convergence fails, [c] being
-    the state {!converges_with_prob_one} names; the reachability pass
-    runs once, so callers need not check first. Otherwise the solver
+    the state {!converges_with_prob_one} names. One {!Scc} pass over
+    the states outside [L] gives both that state and the sparse
+    solver's blocks, so callers need not check first. Otherwise the solver
     outcome: [None] for dense exact solves (which either succeed or
     raise from the linear algebra), [Some outcome] for the sparse
     backends. On [Max_sweeps] the returned array is the partial

@@ -38,9 +38,8 @@ let prepare space cls spec =
   let no_return = Array.map not reach_l in
   let doomed = Markov.reaches chain ~target:no_return in
   let hitting =
-    match Markov.converges_with_prob_one chain ~legitimate with
-    | Ok () -> Some (Markov.expected_hitting_times chain ~legitimate)
-    | Error _ -> None
+    if Array.for_all Fun.id reach_l then Some (Markov.expected_hitting_times chain ~legitimate)
+    else None
   in
   { space; graph; legitimate; chain; doomed; hitting }
 

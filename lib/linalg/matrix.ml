@@ -68,62 +68,70 @@ let pivot_tolerance = 1e-12
 
 (* In-place forward elimination + back substitution on an augmented
    system: [a] square, [b] with the same row count and any column
-   count. Both are destroyed; the solution lands in [b]. *)
+   count. Both are destroyed; the solution lands in [b]. The inner
+   loops index the row-major [data] arrays through row bases, so no
+   step goes through a boxed float; the operations and their order are
+   those of the textbook [get]/[set] formulation. *)
 let solve_in_place a b =
   let n = a.rows in
   if a.cols <> n then invalid_arg "Matrix.solve: matrix not square";
   if b.rows <> n then invalid_arg "Matrix.solve: rhs dimension mismatch";
-  let swap_rows m i j =
+  let ad = a.data and bd = b.data and m = b.cols in
+  let swap_rows (data : float array) cols i j =
     if i <> j then
-      for k = 0 to m.cols - 1 do
-        let tmp = get m i k in
-        set m i k (get m j k);
-        set m j k tmp
+      for k = 0 to cols - 1 do
+        let tmp = data.((i * cols) + k) in
+        data.((i * cols) + k) <- data.((j * cols) + k);
+        data.((j * cols) + k) <- tmp
       done
   in
   for col = 0 to n - 1 do
     (* Partial pivoting: bring the largest |entry| of the column up. *)
     let pivot_row = ref col in
     for r = col + 1 to n - 1 do
-      if Float.abs (get a r col) > Float.abs (get a !pivot_row col) then pivot_row := r
+      if Float.abs ad.((r * n) + col) > Float.abs ad.((!pivot_row * n) + col) then
+        pivot_row := r
     done;
     (* The pivot threshold scales with the column's largest |entry|
        (over all rows, eliminated ones included), so a well-conditioned
        system expressed in tiny units is not misdiagnosed as singular,
        while a column eliminated down to round-off residue fails at any
        scale. *)
-    let pivot_abs = Float.abs (get a !pivot_row col) in
+    let pivot_abs = Float.abs ad.((!pivot_row * n) + col) in
     let col_scale = ref pivot_abs in
     for r = 0 to n - 1 do
-      col_scale := Float.max !col_scale (Float.abs (get a r col))
+      col_scale := Float.max !col_scale (Float.abs ad.((r * n) + col))
     done;
     if !col_scale = 0.0 || pivot_abs < pivot_tolerance *. !col_scale then
       failwith
         (Printf.sprintf "Matrix.solve: singular system (column %d, pivot %g)" col
            pivot_abs);
-    swap_rows a col !pivot_row;
-    swap_rows b col !pivot_row;
-    let pivot = get a col col in
+    swap_rows ad n col !pivot_row;
+    swap_rows bd m col !pivot_row;
+    let pivot = ad.((col * n) + col) in
+    let arow = col * n and brow = col * m in
     for r = col + 1 to n - 1 do
-      let factor = get a r col /. pivot in
+      let ar = r * n and br = r * m in
+      let factor = ad.(ar + col) /. pivot in
       if factor <> 0.0 then begin
         for k = col to n - 1 do
-          set a r k (get a r k -. (factor *. get a col k))
+          ad.(ar + k) <- ad.(ar + k) -. (factor *. ad.(arow + k))
         done;
-        for k = 0 to b.cols - 1 do
-          set b r k (get b r k -. (factor *. get b col k))
+        for k = 0 to m - 1 do
+          bd.(br + k) <- bd.(br + k) -. (factor *. bd.(brow + k))
         done
       end
     done
   done;
   for col = n - 1 downto 0 do
-    let pivot = get a col col in
-    for k = 0 to b.cols - 1 do
-      let acc = ref (get b col k) in
+    let arow = col * n in
+    let pivot = ad.(arow + col) in
+    for k = 0 to m - 1 do
+      let acc = ref bd.((col * m) + k) in
       for j = col + 1 to n - 1 do
-        acc := !acc -. (get a col j *. get b j k)
+        acc := !acc -. (ad.(arow + j) *. bd.((j * m) + k))
       done;
-      set b col k (!acc /. pivot)
+      bd.((col * m) + k) <- !acc /. pivot
     done
   done
 

@@ -15,6 +15,7 @@ let () =
       ("checker", Test_checker.suite);
       ("reference-rows", Test_reference_rows.suite);
       ("differential", Test_differential.suite);
+      ("scc", Test_scc.suite);
       ("symmetry", Test_symmetry.suite);
       ("markov", Test_markov.suite);
       ("markov-solvers", Test_markov_solvers.suite);

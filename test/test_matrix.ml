@@ -123,6 +123,79 @@ let test_solve_many () =
   check_float "x10" 2.0 (Matrix.get x 1 0);
   check_float "x11" 3.0 (Matrix.get x 1 1)
 
+(* The textbook elimination over [get]/[set], partial pivoting on the
+   first largest |entry|, then back substitution: the operation order
+   [Matrix.solve] must keep, so its results are bit-identical. *)
+let reference_solve a b =
+  let n = Matrix.rows a in
+  let a = Matrix.copy a and b = Array.copy b in
+  for col = 0 to n - 1 do
+    let p = ref col in
+    for r = col + 1 to n - 1 do
+      if Float.abs (Matrix.get a r col) > Float.abs (Matrix.get a !p col) then p := r
+    done;
+    for k = 0 to n - 1 do
+      let t = Matrix.get a col k in
+      Matrix.set a col k (Matrix.get a !p k);
+      Matrix.set a !p k t
+    done;
+    let t = b.(col) in
+    b.(col) <- b.(!p);
+    b.(!p) <- t;
+    let pivot = Matrix.get a col col in
+    for r = col + 1 to n - 1 do
+      let factor = Matrix.get a r col /. pivot in
+      if factor <> 0.0 then begin
+        for k = col to n - 1 do
+          Matrix.set a r k (Matrix.get a r k -. (factor *. Matrix.get a col k))
+        done;
+        b.(r) <- b.(r) -. (factor *. b.(col))
+      end
+    done
+  done;
+  for col = n - 1 downto 0 do
+    let acc = ref b.(col) in
+    for j = col + 1 to n - 1 do
+      acc := !acc -. (Matrix.get a col j *. b.(j))
+    done;
+    b.(col) <- !acc /. Matrix.get a col col
+  done;
+  b
+
+let random_system rng n =
+  let a =
+    Matrix.of_rows
+      (Array.init n (fun i ->
+           Array.init n (fun j ->
+               let v = Stabrng.Rng.float rng -. 0.5 in
+               if i = j then v +. 2.0 else v)))
+  in
+  (a, Array.init n (fun _ -> Stabrng.Rng.float rng *. 10.0))
+
+let test_solve_matches_textbook_bits () =
+  let rng = Stabrng.Rng.create 11 in
+  List.iter
+    (fun n ->
+      let a, b = random_system rng n in
+      let want = reference_solve a b and got = Matrix.solve a b in
+      Array.iteri
+        (fun i v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float got.(i) then
+            Alcotest.failf "n=%d, x%d: textbook %h, solve %h" n i v got.(i))
+        want)
+    [ 1; 2; 5; 17; 64 ]
+
+(* Elimination allocates nothing per step: a 200x200 solve (about 2.7 M
+   inner steps) stays within a fixed budget of minor words, which only
+   the result and right-hand-side vectors use. *)
+let test_solve_allocation_budget () =
+  let a, b = random_system (Stabrng.Rng.create 5) 200 in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Matrix.solve a b));
+  let words = Gc.minor_words () -. w0 in
+  if words > 4096.0 then
+    Alcotest.failf "Matrix.solve 200x200: %.0f minor words, budget 4096" words
+
 let qcheck_solve_diag =
   QCheck.Test.make ~count:100 ~name:"diagonal systems solve exactly"
     QCheck.(pair (list_of_size (Gen.int_range 1 8) (float_range 1.0 10.0)) (float_range (-5.0) 5.0))
@@ -154,5 +227,7 @@ let suite =
     Alcotest.test_case "solve pure" `Quick test_solve_does_not_mutate;
     Alcotest.test_case "solve random roundtrip" `Quick test_solve_random_roundtrip;
     Alcotest.test_case "solve_many" `Quick test_solve_many;
+    Alcotest.test_case "solve matches textbook bits" `Quick test_solve_matches_textbook_bits;
+    Alcotest.test_case "solve allocation budget" `Quick test_solve_allocation_budget;
     QCheck_alcotest.to_alcotest qcheck_solve_diag;
   ]
